@@ -254,11 +254,8 @@ impl KrrModel {
             SizeMode::ByteLevel { base } => Some(SizeArray::new(base)),
         };
         // Only the sizeArray reads per-chain pre-update sizes; skip
-        // gathering them in uniform mode. Until metrics or a recorder is
-        // attached nothing observes the chain itself either, so the stack
-        // may use the fused backward update.
+        // gathering them in uniform mode.
         stack.set_record_chain_sizes(sizes.is_some());
-        stack.set_record_chain(sizes.is_some());
         let hist = SdHistogram::new(config.bin_width);
         Self {
             config,
@@ -277,8 +274,6 @@ impl KrrModel {
     /// Attaches a metrics registry; subsequent accesses record into it.
     /// The default (detached) hot path costs one branch.
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        // The chain_len metric observes chains; leave the fused path.
-        self.stack.set_record_chain(true);
         self.metrics = Some(metrics);
     }
 
@@ -296,17 +291,12 @@ impl KrrModel {
     /// bit-identical with or without a recorder. The default (detached)
     /// hot path costs one branch.
     pub fn set_recorder(&mut self, recorder: ThreadRecorder) {
-        // Stack-update spans carry the chain length; leave the fused path.
-        self.stack.set_record_chain(true);
         self.recorder = Some(recorder);
     }
 
     /// Detaches and returns the flight-recorder handle, if any.
     pub fn take_recorder(&mut self) -> Option<ThreadRecorder> {
-        let rec = self.recorder.take();
-        self.stack
-            .set_record_chain(self.metrics.is_some() || self.sizes.is_some());
-        rec
+        self.recorder.take()
     }
 
     /// The configuration in use.
@@ -584,7 +574,6 @@ impl KrrModel {
             _ => Some(SizeArray::load_state(dec)?),
         };
         stack.set_record_chain_sizes(sizes.is_some());
-        stack.set_record_chain(sizes.is_some());
         let hist = SdHistogram::load_state(dec)?;
         let processed = dec.u64()?;
         let sampled = dec.u64()?;

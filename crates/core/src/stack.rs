@@ -15,8 +15,7 @@
 use crate::checkpoint::{Dec, Enc};
 use crate::hashing::KeyMap;
 use crate::rng::Xoshiro256;
-use crate::update::lut::{self, InvCdfTable};
-use crate::update::{self, UpdaterKind};
+use crate::update::{self, JumpTable, UpdaterKind};
 use std::io;
 use std::sync::Arc;
 
@@ -90,14 +89,8 @@ pub struct KrrStack {
     /// byte-level `sizeArray` maintenance needs them; uniform-size callers
     /// turn this off to skip the per-chain-element size gather.
     record_chain_sizes: bool,
-    /// Whether updates materialize [`Self::last_chain`]. On by default;
-    /// [`crate::KrrModel`] turns it off when nothing observes chains
-    /// (no metrics, no recorder, no `sizeArray`), unlocking the fused
-    /// backward update that samples and applies each swap in one pass.
-    record_chain: bool,
-    /// Shared small-`c` inverse-CDF cutoff table ([`InvCdfTable`]), built
-    /// lazily on the first fused update and cached process-wide per `k`.
-    lut: Option<Arc<InvCdfTable>>,
+    /// Backward-jump kernel tables for `k`, shared process-wide.
+    jump: Arc<JumpTable>,
     last_scanned: u64,
 }
 
@@ -118,8 +111,7 @@ impl KrrStack {
             chain: Vec::new(),
             chain_sizes: Vec::new(),
             record_chain_sizes: true,
-            record_chain: true,
-            lut: None,
+            jump: JumpTable::for_k(k),
             last_scanned: 0,
         }
     }
@@ -132,17 +124,11 @@ impl KrrStack {
         self.record_chain_sizes = on;
     }
 
-    /// Enables or disables materializing [`Self::last_chain`] on each
-    /// update (on by default). With chains unobserved (off, and chain
-    /// sizes off too) the backward updater runs *fused*: each inverse-CDF
-    /// draw is applied to the permutation immediately, skipping the chain
-    /// buffer, its reversal, and the second pass — same RNG stream, same
-    /// swaps, measurably faster. [`Self::last_chain`] reads empty for
-    /// accesses that took the fused path ([`Self::last_scanned`] is still
-    /// maintained).
-    pub fn set_record_chain(&mut self, on: bool) {
-        self.record_chain = on;
-    }
+    /// Has no effect; kept so existing callers compile. Every update
+    /// materializes [`Self::last_chain`]: sampling the whole chain and
+    /// then applying it measures faster than applying each draw as it is
+    /// sampled, so unobserved chains have nothing to skip.
+    pub fn set_record_chain(&mut self, _on: bool) {}
 
     /// Number of distinct objects on the stack (the paper's `γ_t` / `M`).
     #[must_use]
@@ -241,12 +227,12 @@ impl KrrStack {
         if phi <= 1 {
             return;
         }
-        if !self.record_chain && !self.record_chain_sizes && self.updater == UpdaterKind::Backward {
-            self.update_fused_backward(phi);
-            return;
-        }
-        self.last_scanned =
-            update::swap_chain(self.updater, phi, self.k, &mut self.rng, &mut self.chain);
+        self.last_scanned = match self.updater {
+            UpdaterKind::Backward => {
+                update::backward_chain(phi, &self.jump, &mut self.rng, &mut self.chain)
+            }
+            kind => update::swap_chain(kind, phi, self.k, &mut self.rng, &mut self.chain),
+        };
         debug_assert!(self.chain.first() == Some(&1));
         debug_assert!(self.chain.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(*self.chain.last().unwrap() < phi);
@@ -277,49 +263,6 @@ impl KrrStack {
         debug_assert_eq!(dest, 1);
         self.perm[0] = id_ref;
         self.inv[id_ref as usize] = 0;
-    }
-
-    /// The backward update with sampling and application fused into one
-    /// pass: Algorithm 2 generates swap positions from `φ` back toward the
-    /// top — exactly the order the cyclic shift applies them in — so when
-    /// no observer needs the chain materialized, each draw moves its entry
-    /// immediately. Draw-for-draw identical to `backward_chain` + the
-    /// two-pass apply (same `unit_open_low` stream, same
-    /// `⌈r^{1/K}·(i−1)⌉` positions), which `fused_update_is_bit_identical`
-    /// locks in.
-    fn update_fused_backward(&mut self, phi: u64) {
-        if self.lut.is_none() {
-            self.lut = Some(InvCdfTable::for_k(self.k));
-        }
-        let table = self.lut.as_deref().expect("table just built");
-        let inv_k = 1.0 / self.k;
-        let id_ref = self.perm[phi as usize - 1];
-        let mut dest = phi;
-        let mut scanned = 0u64;
-        while dest > 1 {
-            let c = dest - 1;
-            // One 53-bit draw per jump, answered three ways that are all
-            // bit-identical to `unit_open_low` + the powf formula: c = 1 is
-            // always position 1, small c comes from the integer cutoff
-            // table, large c evaluates the float pipeline directly.
-            let m = self.rng.next_u64() >> 11;
-            let x = if c == 1 {
-                1
-            } else if c <= lut::CMAX {
-                table.position(m, c)
-            } else {
-                let r = 1.0 - m as f64 * (1.0 / (1u64 << 53) as f64);
-                ((r.powf(inv_k) * c as f64).ceil() as u64).clamp(1, c)
-            };
-            scanned += 1;
-            let id = self.perm[x as usize - 1];
-            self.perm[dest as usize - 1] = id;
-            self.inv[id as usize] = (dest - 1) as u32;
-            dest = x;
-        }
-        self.perm[0] = id_ref;
-        self.inv[id_ref as usize] = 0;
-        self.last_scanned = scanned;
     }
 
     /// Iterates entries from stack top to bottom (test/diagnostic use).
@@ -386,8 +329,7 @@ impl KrrStack {
             chain: Vec::new(),
             chain_sizes: Vec::new(),
             record_chain_sizes: true,
-            record_chain: true,
-            lut: None,
+            jump: JumpTable::for_k(k),
             last_scanned: 0,
         })
     }
@@ -561,23 +503,23 @@ mod tests {
     }
 
     #[test]
-    fn fused_update_is_bit_identical() {
-        // Same seed, same reference sequence: the fused backward update
+    fn chain_recording_switches_keep_updates_bit_identical() {
+        // Same seed, same reference sequence: turning chain recording off
         // must consume the identical RNG stream and land every object on
-        // the identical position as the materialize-then-apply path.
+        // the identical position.
         let k = 5.0f64.powf(1.4);
-        let mut generic = stack(k, UpdaterKind::Backward);
-        let mut fused = stack(k, UpdaterKind::Backward);
-        fused.set_record_chain(false);
-        fused.set_record_chain_sizes(false);
+        let mut recorded = stack(k, UpdaterKind::Backward);
+        let mut unrecorded = stack(k, UpdaterKind::Backward);
+        unrecorded.set_record_chain(false);
+        unrecorded.set_record_chain_sizes(false);
         let mut rng = Xoshiro256::seed_from_u64(3);
         for _ in 0..20_000 {
             let key = rng.below(800);
-            assert_eq!(generic.access(key, 1), fused.access(key, 1));
-            assert_eq!(generic.last_scanned(), fused.last_scanned());
+            assert_eq!(recorded.access(key, 1), unrecorded.access(key, 1));
+            assert_eq!(recorded.last_scanned(), unrecorded.last_scanned());
         }
-        let a: Vec<_> = generic.iter().collect();
-        let b: Vec<_> = fused.iter().collect();
+        let a: Vec<_> = recorded.iter().collect();
+        let b: Vec<_> = unrecorded.iter().collect();
         assert_eq!(a, b);
     }
 

@@ -10,55 +10,47 @@
 //! For K = 1 this degenerates to Bilardi et al.'s D-RAND sampling for the
 //! random-replacement stack.
 
-#[cfg(test)]
-use crate::prob::sample_eviction_position;
+use super::JumpTable;
 use crate::rng::Xoshiro256;
 
-/// Appends the swap chain for distance `phi` by sampling backward jumps,
-/// then reverses the buffer into ascending order. Returns the number of
-/// positions examined, which for this updater equals the number of
-/// inverse-CDF draws (= chain length, Corollary 1's cost).
-pub fn backward_chain(phi: u64, k: f64, rng: &mut Xoshiro256, out: &mut Vec<u64>) -> u64 {
+/// Appends the swap chain for distance `phi` by sampling backward jumps
+/// with `table` (built for the stack's `K`), then reverses the buffer into
+/// ascending order. Returns the number of positions examined, which for
+/// this updater equals the number of inverse-CDF draws (= chain length,
+/// Corollary 1's cost).
+pub fn backward_chain(
+    phi: u64,
+    table: &JumpTable,
+    rng: &mut Xoshiro256,
+    out: &mut Vec<u64>,
+) -> u64 {
     debug_assert!(phi >= 2);
     let start = out.len();
-    let inv_k = 1.0 / k;
     let mut i = phi;
-    let mut scanned = 0u64;
     while i > 1 {
         // x = ⌈ r^(1/K) · (i-1) ⌉, r ∈ (0, 1]
-        let r = rng.unit_open_low();
-        let x = sample_eviction_position_inv(r, i - 1, inv_k);
-        out.push(x);
-        scanned += 1;
-        i = x;
+        i = table.jump(rng, i - 1);
+        out.push(i);
     }
     out[start..].reverse();
-    scanned
-}
-
-/// Same as [`sample_eviction_position`] but takes `1/K` precomputed, saving
-/// a division in the per-jump hot path.
-#[inline]
-fn sample_eviction_position_inv(r: f64, c: u64, inv_k: f64) -> u64 {
-    debug_assert!(r > 0.0 && r <= 1.0);
-    let x = (r.powf(inv_k) * c as f64).ceil() as u64;
-    x.clamp(1, c)
+    (out.len() - start) as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prob::sample_eviction_position;
 
     #[test]
-    fn inv_variant_matches_public_function() {
+    fn kernel_matches_public_function() {
         for &c in &[1u64, 2, 9, 1000] {
             for &k in &[1.0f64, 2.0, 7.5] {
-                for i in 1..200 {
-                    let r = (i as f64) / 200.0;
-                    assert_eq!(
-                        sample_eviction_position_inv(r, c, 1.0 / k),
-                        sample_eviction_position(r, c, k)
-                    );
+                let table = JumpTable::for_k(k);
+                for i in 0..200u64 {
+                    // r = (200 - i) / 200 on the raw-draw grid.
+                    let m = (i << 53) / 200;
+                    let r = 1.0 - m as f64 * (1.0 / (1u64 << 53) as f64);
+                    assert_eq!(table.position(m, c), sample_eviction_position(r, c, k));
                 }
             }
         }
@@ -70,7 +62,7 @@ mod tests {
         let mut out = Vec::new();
         for phi in 2..100u64 {
             out.clear();
-            backward_chain(phi, 5.0, &mut rng, &mut out);
+            backward_chain(phi, &JumpTable::for_k(5.0), &mut rng, &mut out);
             assert_eq!(out[0], 1);
             assert!(*out.last().unwrap() < phi);
         }
@@ -82,9 +74,10 @@ mod tests {
         // emitted ascending chain is strictly increasing.
         let mut rng = Xoshiro256::seed_from_u64(8);
         let mut out = Vec::new();
+        let table = JumpTable::for_k(8.0);
         for _ in 0..500 {
             out.clear();
-            backward_chain(10_000, 8.0, &mut rng, &mut out);
+            backward_chain(10_000, &table, &mut rng, &mut out);
             assert!(out.windows(2).all(|w| w[0] < w[1]));
         }
     }
@@ -98,10 +91,11 @@ mod tests {
         let phi = 1u64 << 20;
         let k = 2.0;
         let trials = 300;
+        let table = JumpTable::for_k(k);
         let mut total = 0usize;
         for _ in 0..trials {
             out.clear();
-            backward_chain(phi, k, &mut rng, &mut out);
+            backward_chain(phi, &table, &mut rng, &mut out);
             total += out.len();
         }
         let mean = total as f64 / trials as f64;

@@ -19,11 +19,12 @@
 //! implicit terminal swap at `φ`.
 
 mod backward;
-pub mod lut;
+mod jump;
 mod naive;
 mod topdown;
 
 pub use backward::backward_chain;
+pub use jump::JumpTable;
 pub use naive::naive_chain;
 pub use topdown::topdown_chain;
 
@@ -88,6 +89,8 @@ impl std::fmt::Display for UpdaterKind {
 /// fed to the `positions_scanned` metric).
 ///
 /// `out` is left empty when `phi <= 1` (a top-of-stack hit needs no update).
+/// The backward strategy looks up the shared [`JumpTable`] for `k` on
+/// every call; hot loops hold the table and call [`backward_chain`].
 #[inline]
 pub fn swap_chain(
     kind: UpdaterKind,
@@ -103,7 +106,7 @@ pub fn swap_chain(
     match kind {
         UpdaterKind::Naive => naive_chain(phi, k, rng, out),
         UpdaterKind::TopDown => topdown_chain(phi, k, rng, out),
-        UpdaterKind::Backward => backward_chain(phi, k, rng, out),
+        UpdaterKind::Backward => backward_chain(phi, &JumpTable::for_k(k), rng, out),
     }
 }
 

@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The benchmark is its own workspace (yardstick/): its smoke tests run
+# every workload's checks and pin the printed metric names to
+# BENCHMARK.json.
+cargo test -q --release --offline --manifest-path yardstick/Cargo.toml
 # Doctests, explicitly: documentation examples are part of the API
 # contract and must keep compiling and passing on their own.
 cargo test -q --offline --workspace --doc
