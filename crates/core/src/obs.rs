@@ -677,7 +677,7 @@ mod tests {
     #[test]
     fn timeline_emits_windowed_delta_rows() {
         let reg = Arc::new(MetricsRegistry::new());
-        reg.init_shards(2);
+        reg.init_slots(crate::metrics::Scope::Shard, 2);
         let mut out = Vec::new();
         {
             let mut tl = StatsTimeline::new(Arc::clone(&reg), &mut out, 100);

@@ -67,7 +67,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hashing::{hash_key, hash_keys8};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{MetricsRegistry, Scope};
 use crate::model::KrrModel;
 use crate::obs::{FlightRecorder, Phase};
 use crate::profiler::ProfPhase;
@@ -264,7 +264,7 @@ where
     if let Some(reg) = metrics {
         reg.footprint_pipeline_bytes
             .set(cfg.buffer_bytes(n_shards) as u64);
-        reg.init_rings(threads);
+        reg.init_slots(Scope::Worker, threads);
     }
 
     // Worker w owns shards {s | s % threads == w}; shard s sits at local
@@ -334,9 +334,11 @@ where
                         }
                         depth[batch.shard].fetch_sub(1, Ordering::Relaxed);
                         if let Some(reg) = &metrics {
-                            reg.shard_access_n(batch.shard, batch.refs.len() as u64);
-                            reg.set_shard_resident(batch.shard, model.stats().distinct);
-                            reg.record_shard_depth(batch.shard, model.deepest_hit());
+                            reg.shard_accesses
+                                .record(batch.shard, batch.refs.len() as u64);
+                            reg.shard_resident
+                                .record(batch.shard, model.stats().distinct);
+                            reg.shard_depth_hwm.record(batch.shard, model.deepest_hit());
                         }
                         busy_ns += t0.elapsed().as_nanos() as u64;
                         let mut buf = batch.refs;
@@ -370,7 +372,7 @@ where
         let mut dispatch = |s: usize, refs: Vec<RoutedRef>| {
             let d = depth[s].fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(reg) = metrics {
-                reg.record_queue_depth(s, d);
+                reg.pipeline_queue_hwm.record(s, d);
             }
             batches += 1;
             let b0 = router_rec.as_ref().map(|r| r.now_ns());
@@ -432,7 +434,7 @@ where
     // join — complete, race-free, and free on the hot path.
     if let Some(reg) = metrics {
         for (w, tx) in batch_txs.iter().enumerate() {
-            reg.record_ring_depth(w, tx.depth_hwm());
+            reg.pipeline_ring_hwm.record(w, tx.depth_hwm());
             reg.pipeline_ring_wraps.add(tx.wraps());
             reg.pipeline_router_parks.add(tx.producer_parks());
             reg.pipeline_worker_parks.add(tx.consumer_parks());
@@ -547,9 +549,11 @@ where
                         }
                         depth[batch.shard].fetch_sub(1, Ordering::Relaxed);
                         if let Some(reg) = &metrics {
-                            reg.shard_access_n(batch.shard, batch.refs.len() as u64);
-                            reg.set_shard_resident(batch.shard, model.stats().distinct);
-                            reg.record_shard_depth(batch.shard, model.deepest_hit());
+                            reg.shard_accesses
+                                .record(batch.shard, batch.refs.len() as u64);
+                            reg.shard_resident
+                                .record(batch.shard, model.stats().distinct);
+                            reg.shard_depth_hwm.record(batch.shard, model.deepest_hit());
                         }
                         busy_ns += t0.elapsed().as_nanos() as u64;
                         let mut buf = batch.refs;
@@ -573,7 +577,7 @@ where
         let mut dispatch = |s: usize, refs: Vec<RoutedRef>| {
             let d = depth[s].fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(reg) = metrics {
-                reg.record_queue_depth(s, d);
+                reg.pipeline_queue_hwm.record(s, d);
             }
             batches += 1;
             let b0 = router_rec.as_ref().map(|r| r.now_ns());

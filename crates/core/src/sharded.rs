@@ -29,7 +29,7 @@ use std::sync::Arc;
 use crate::checkpoint::{CheckpointReader, CheckpointWriter, Dec, Enc, SECTION_SHARDED};
 use crate::hashing::hash_key;
 use crate::histogram::SdHistogram;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{MetricsRegistry, Scope};
 use crate::model::{KrrConfig, KrrModel, ModelStats};
 use crate::mrc::Mrc;
 use crate::obs::{FlightRecorder, Phase, ThreadRecorder};
@@ -96,7 +96,7 @@ impl ShardedKrr {
     /// Attaches a metrics registry to every shard model and claims its
     /// per-shard access counters (sized to this bank's shard count).
     pub fn set_metrics(&mut self, metrics: Arc<MetricsRegistry>) {
-        metrics.init_shards(self.shards.len());
+        metrics.init_slots(Scope::Shard, self.shards.len());
         for s in &mut self.shards {
             s.set_metrics(Arc::clone(&metrics));
         }
@@ -134,12 +134,12 @@ impl ShardedKrr {
         let h = hash_key(key);
         let s = shard_of_hash(h, self.shards.len());
         if let Some(m) = &self.metrics {
-            m.shard_access(s);
+            m.shard_accesses.record(s, 1);
         }
         self.shards[s].access_hashed(key, size, h);
         if let Some(m) = &self.metrics {
-            m.set_shard_resident(s, self.shards[s].stats().distinct);
-            m.record_shard_depth(s, self.shards[s].deepest_hit());
+            m.shard_resident.record(s, self.shards[s].stats().distinct);
+            m.shard_depth_hwm.record(s, self.shards[s].deepest_hit());
         }
     }
 
@@ -235,7 +235,7 @@ impl ShardedKrr {
                             for (i, m) in &mut group {
                                 if *i == s {
                                     if let Some(reg) = &metrics {
-                                        reg.shard_access(s);
+                                        reg.shard_accesses.record(s, 1);
                                     }
                                     m.access_hashed(key, size, h);
                                     break;
@@ -381,8 +381,8 @@ impl ShardedKrr {
         use crate::footprint::Footprint as _;
         let Some(m) = &self.metrics else { return };
         for (i, s) in self.shards.iter().enumerate() {
-            m.set_shard_resident(i, s.stats().distinct);
-            m.record_shard_depth(i, s.deepest_hit());
+            m.shard_resident.record(i, s.stats().distinct);
+            m.shard_depth_hwm.record(i, s.deepest_hit());
         }
         m.publish_footprint(&self.footprint());
     }
