@@ -4,6 +4,9 @@
 //! Checks the structural subset of the spec the exposition server emits:
 //!
 //! * the document ends with exactly one `# EOF` line,
+//! * `# HELP` and `# UNIT` appear at most once per family and before any
+//!   of its samples, a HELP text holds no raw `"` or `\`, and a UNIT is a
+//!   `_<unit>` suffix of its family name,
 //! * every sample line names a metric declared by a preceding `# TYPE`
 //!   line (with the `_total` / `_bucket` / `_count` / `_sum` suffix rules
 //!   for counters and histograms),
@@ -38,6 +41,10 @@ pub struct Sample {
 pub struct Exposition {
     /// `# TYPE` declarations in document order: `(family, type)`.
     pub families: Vec<(String, String)>,
+    /// `# HELP` lines in document order: `(family, text)`.
+    pub helps: Vec<(String, String)>,
+    /// `# UNIT` lines in document order: `(family, unit)`.
+    pub units: Vec<(String, String)>,
     /// All sample lines in document order.
     pub samples: Vec<Sample>,
 }
@@ -135,6 +142,8 @@ pub fn validate(text: &str) -> Result<Exposition, String> {
         return Err("document must end with '# EOF\\n'".into());
     }
     let mut doc = Exposition::default();
+    // Families that already have samples: their HELP/UNIT is too late.
+    let mut sampled: Vec<String> = Vec::new();
     let mut eof_seen = false;
     for (ln, line) in text.lines().enumerate() {
         let ctx = |msg: String| format!("line {}: {msg}", ln + 1);
@@ -170,7 +179,36 @@ pub fn validate(text: &str) -> Result<Exposition, String> {
                     }
                     doc.families.push((family.to_string(), kind.to_string()));
                 }
-                "HELP" | "UNIT" => {}
+                "HELP" | "UNIT" => {
+                    let family = parts
+                        .next()
+                        .ok_or_else(|| ctx(format!("{keyword} needs a name")))?;
+                    let text = parts.next().unwrap_or_default();
+                    if !valid_name(family) {
+                        return Err(ctx(format!("bad family name {family:?}")));
+                    }
+                    if sampled.iter().any(|f| f == family) {
+                        return Err(ctx(format!("{keyword} for {family:?} after its samples")));
+                    }
+                    let seen = if keyword == "HELP" {
+                        if text.contains(['"', '\\']) {
+                            return Err(ctx(format!("unescaped HELP text {text:?}")));
+                        }
+                        &mut doc.helps
+                    } else {
+                        let suffix = family.strip_suffix(text);
+                        if text.is_empty() || !suffix.is_some_and(|f| f.ends_with('_')) {
+                            return Err(ctx(format!(
+                                "UNIT {text:?} is not a suffix of {family:?}"
+                            )));
+                        }
+                        &mut doc.units
+                    };
+                    if seen.iter().any(|(f, _)| f == family) {
+                        return Err(ctx(format!("duplicate {keyword} for {family:?}")));
+                    }
+                    seen.push((family.to_string(), text.to_string()));
+                }
                 other => return Err(ctx(format!("unknown comment keyword {other:?}"))),
             }
             continue;
@@ -207,9 +245,12 @@ pub fn validate(text: &str) -> Result<Exposition, String> {
                 .iter()
                 .any(|sfx| name.strip_suffix(sfx) == Some(f))
         });
-        let Some((_, family_type)) = owner else {
+        let Some((family, family_type)) = owner else {
             return Err(ctx(format!("sample {name:?} has no matching # TYPE")));
         };
+        if !sampled.contains(family) {
+            sampled.push(family.clone());
+        }
         if family_type == "counter" && value < 0.0 {
             return Err(ctx(format!("counter {name:?} is negative")));
         }
