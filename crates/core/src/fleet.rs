@@ -24,7 +24,9 @@
 //!   router/worker topology as [`crate::ShardedKrr`]
 //!   (`pipeline::run_routed`): slot `s` is owned by worker `s % threads`
 //!   and per-slot FIFO order makes results bit-identical to the sequential
-//!   [`FleetArena::access`] loop.
+//!   [`FleetArena::access`] loop. The router admits each item with its
+//!   tenant's own spatial filter and only counts the rejected ones, which
+//!   the tenant's model is credited with batch by batch.
 //! * **Observability rollup.** [`FleetArena::publish_metrics`] pushes one
 //!   [`TenantRow`] per tenant into the attached [`MetricsRegistry`]
 //!   (rendered as `tenant.*` JSON, `# tenant` INFO lines, and

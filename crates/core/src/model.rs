@@ -231,10 +231,9 @@ impl Clone for KrrModel {
     }
 }
 
-/// What happened to one reference inside [`KrrModel::access`]; feeds the
-/// metrics layer without re-deriving state from the stack.
+/// What an admitted reference did to the stack; feeds the metrics layer
+/// without re-deriving state from the stack.
 enum Outcome {
-    Filtered,
     Hit,
     Cold,
 }
@@ -318,97 +317,119 @@ impl KrrModel {
     /// not hash a second time. `key_hash` MUST equal `hash_key(key)` —
     /// anything else silently corrupts the spatial sample.
     pub fn access_hashed(&mut self, key: u64, size: u32, key_hash: u64) {
+        if self.filter.admits_hashed(key_hash) {
+            self.access_sampled(key, size);
+        } else {
+            self.credit_rejected(1);
+        }
+    }
+
+    /// Counts `n` references the spatial filter rejected: they advance
+    /// `processed` and the `accesses`/`spatial_rejected` counters but never
+    /// reach the stack. The pipeline router admits references itself and
+    /// credits each shard's rejections here in bulk, once per batch, so a
+    /// model's counters do not depend on which path fed it.
+    pub(crate) fn credit_rejected(&mut self, n: u64) {
+        self.processed += n;
+        if let Some(m) = self.metrics.as_ref() {
+            m.accesses.add(n);
+            m.spatial_rejected.add(n);
+        }
+    }
+
+    /// One admitted reference, with its metrics and trace span when
+    /// attached.
+    fn access_sampled(&mut self, key: u64, size: u32) {
         if self.metrics.is_none() && self.recorder.is_none() {
-            self.access_inner(key, size, key_hash);
+            self.touch(key, size);
             return;
         }
-        // Timing is sampled 1-in-64: the clock read costs about as much as
-        // a shallow update itself, so timing every access would violate the
-        // <=5% overhead budget the metrics layer is held to. Traced stack
-        // updates are sampled 1-in-16 for the same reason — a span costs
-        // two clock reads — with deep chains always marked (clock read
-        // only on the rare deep path).
-        let timed = self.metrics.is_some() && self.processed & 63 == 0;
+        // Timing is sampled 1-in-64 admitted references: the clock read
+        // costs about as much as a shallow update itself, so timing every
+        // access would violate the <=5% overhead budget the metrics layer
+        // is held to. Traced stack updates are sampled 1-in-16 for the same
+        // reason — a span costs two clock reads — with deep chains always
+        // marked (clock read only on the rare deep path). Keying both on
+        // the admitted count makes them independent of where rejected
+        // references were filtered.
+        let timed = self.metrics.is_some() && self.sampled & 63 == 0;
         let t0 = timed.then(std::time::Instant::now);
-        let traced = self.processed & 15 == 0;
+        let traced = self.sampled & 15 == 0;
         let r0 = if traced {
             self.recorder.as_ref().map(ThreadRecorder::now_ns)
         } else {
             None
         };
-        let outcome = self.access_inner(key, size, key_hash);
+        let outcome = self.touch(key, size);
         if let Some(m) = self.metrics.as_ref() {
             m.accesses.inc();
             match outcome {
-                Outcome::Filtered => m.spatial_rejected.inc(),
-                Outcome::Hit | Outcome::Cold => {
-                    if matches!(outcome, Outcome::Hit) {
-                        m.hits.inc();
-                    } else {
-                        m.cold_misses.inc();
-                    }
-                    m.chain_len.record(self.stack.last_chain().len() as u64);
-                    m.positions_scanned.record(self.stack.last_scanned());
-                }
+                Outcome::Hit => m.hits.inc(),
+                Outcome::Cold => m.cold_misses.inc(),
             }
+            m.chain_len.record(self.stack.last_chain().len() as u64);
+            m.positions_scanned.record(self.stack.last_scanned());
             if let Some(t0) = t0 {
                 m.access_ns.record(t0.elapsed().as_nanos() as u64);
             }
         }
         if let Some(rec) = self.recorder.as_ref() {
-            if !matches!(outcome, Outcome::Filtered) {
-                let chain = self.stack.last_chain().len() as u64;
-                if let Some(r0) = r0 {
-                    rec.record_since(Phase::StackUpdate, r0, chain);
-                } else if chain >= DEEP_CHAIN_THRESHOLD {
-                    rec.mark(Phase::DeepUpdate, chain);
-                }
+            let chain = self.stack.last_chain().len() as u64;
+            if let Some(r0) = r0 {
+                rec.record_since(Phase::StackUpdate, r0, chain);
+            } else if chain >= DEEP_CHAIN_THRESHOLD {
+                rec.mark(Phase::DeepUpdate, chain);
             }
         }
     }
 
-    /// Offers a batch of `(key, size, key_hash)` references — the batched
-    /// pipeline hot path. Bit-identical to calling
-    /// [`KrrModel::access_hashed`] per element in order: batching only
-    /// restructures the admission filtering (8-wide branchless masks via
+    /// Offers a batch of `(key, size, key_hash)` references. Bit-identical
+    /// to calling [`KrrModel::access_hashed`] per element in order:
+    /// batching only restructures admission (8-wide branchless masks via
     /// [`SpatialFilter::admits_hashed8`], skipped entirely at rate 1.0),
     /// while stack accesses — the only RNG consumers — still happen one at
-    /// a time in reference order. Falls back to the per-reference path
-    /// whenever metrics, tracing, or byte-level mode need per-access
-    /// bookkeeping.
+    /// a time in reference order.
+    ///
+    /// The sharded pipeline does not filter here: its router admits each
+    /// reference before buffering it, so workers only ever receive sampled
+    /// references and apply them without a second test, crediting the
+    /// router's per-shard rejected counts in bulk.
     pub fn access_batch(&mut self, refs: &[(u64, u32, u64)]) {
-        if self.metrics.is_some() || self.recorder.is_some() || self.sizes.is_some() {
-            for &(key, size, key_hash) in refs {
-                self.access_hashed(key, size, key_hash);
-            }
-            return;
-        }
-        self.processed += refs.len() as u64;
         if self.filter.admits_all() {
-            self.sampled += refs.len() as u64;
-            for &(key, _, _) in refs {
-                self.touch_uniform(key);
-            }
+            self.access_admitted(refs);
             return;
         }
         let mut chunks = refs.chunks_exact(8);
         for chunk in &mut chunks {
             let hashes: [u64; 8] = std::array::from_fn(|i| chunk[i].2);
             let mut mask = self.filter.admits_hashed8(&hashes);
-            self.sampled += u64::from(mask.count_ones());
+            self.credit_rejected(u64::from(mask.count_zeros()));
             // Drain set bits lowest-first: admitted references hit the
             // stack in their original order, preserving the RNG stream.
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                self.touch_uniform(chunk[i].0);
+                self.access_sampled(chunk[i].0, chunk[i].1);
             }
         }
-        for &(key, _, key_hash) in chunks.remainder() {
-            if self.filter.admits_hashed(key_hash) {
-                self.sampled += 1;
-                self.touch_uniform(key);
+        for &(key, size, key_hash) in chunks.remainder() {
+            self.access_hashed(key, size, key_hash);
+        }
+    }
+
+    /// Applies references the spatial filter already admitted, in order —
+    /// the pipeline worker's entry point.
+    pub(crate) fn access_admitted(&mut self, refs: &[(u64, u32, u64)]) {
+        if self.metrics.is_some() || self.recorder.is_some() || self.sizes.is_some() {
+            for &(key, size, _) in refs {
+                self.access_sampled(key, size);
             }
+            return;
+        }
+        self.processed += refs.len() as u64;
+        self.sampled += refs.len() as u64;
+        for &(key, _, _) in refs {
+            self.touch_uniform(key);
         }
     }
 
@@ -429,11 +450,9 @@ impl KrrModel {
         }
     }
 
-    fn access_inner(&mut self, key: u64, size: u32, key_hash: u64) -> Outcome {
+    /// Counts and applies one admitted reference.
+    fn touch(&mut self, key: u64, size: u32) -> Outcome {
         self.processed += 1;
-        if !self.filter.admits_hashed(key_hash) {
-            return Outcome::Filtered;
-        }
         self.sampled += 1;
         let size = size.max(1);
         match self.sizes {
@@ -512,6 +531,11 @@ impl KrrModel {
             sampled: self.sampled,
             distinct: self.stack.len() as u64,
         }
+    }
+
+    /// The spatial filter (the pipeline router admits with it).
+    pub(crate) fn filter(&self) -> SpatialFilter {
+        self.filter
     }
 
     /// Effective sampling rate of the spatial filter.

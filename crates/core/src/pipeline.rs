@@ -9,11 +9,13 @@
 //! ```text
 //!             ┌──────────┐   SPSC batch rings   ┌──────────┐
 //!  refs ────► │  router  │ ══ Batch(s=0,3) ════►│ worker 0 │ shards {0,3}
-//!  (any       │ hash 8   │ ══ Batch(s=1,4) ════►│ worker 1 │ shards {1,4}
-//!  iterator)  │ per call │ ══ Batch(s=2,5) ════►│ worker 2 │ shards {2,5}
-//!             │  batch   │ ◄═ SPSC freelist ════╡ (batched │
-//!             └──────────┘    (recycled Vecs)   │  access) │
-//!                                               └────┬─────┘
+//!  (any       │ hash 8,  │ ══ Batch(s=1,4) ════►│ worker 1 │ shards {1,4}
+//!  iterator)  │ route,   │ ══ Batch(s=2,5) ════►│ worker 2 │ shards {2,5}
+//!             │ admit,   │ ◄═ SPSC freelist ════╡ (apply   │
+//!             │ batch    │    (recycled Vecs)   │  sampled │
+//!             └────┬─────┘                      │  refs)   │
+//!                  ▼ rejected: counted per      └────┬─────┘
+//!                    shard, never buffered           │
 //!                                      sharded merge ▼ (ShardedKrr::mrc,
 //!                                       per-shard histograms — the router
 //!                                       never participates or blocks)
@@ -22,15 +24,26 @@
 //! * **Route once.** The router computes `hash_key(key)` exactly once per
 //!   reference — eight at a time via [`crate::hashing::hash_keys8`] so the
 //!   independent mix chains overlap in the pipeline; the shard index comes
-//!   from the hash's high bits and the spatial filter later consumes its
-//!   low bits, so the hash rides along in the batch and no stage ever
+//!   from the hash's high bits and the spatial filter consumes its low
+//!   bits, so the hash rides along in the batch and no stage ever
 //!   re-hashes. Total hash work is `N`, not `T·N`.
-//! * **Batching.** References are accumulated into per-shard buffers of
-//!   [`PipelineConfig::batch_size`] entries (default ~4K), amortizing
-//!   transport synchronization over thousands of references — the lever
-//!   Inoue's multi-step LRU exploits for batched cache replacement.
-//!   Workers drain a batch through [`KrrModel::access_batch`], which
-//!   filters admission 8-wide and branchlessly.
+//! * **Admit at the router.** Spatial sampling is applied exactly once,
+//!   in the router, before a reference is buffered: the 8 hashes of a
+//!   block are tested with [`SpatialFilter::admits_hashed8`] (each slot's
+//!   own filter for pre-routed fleet items). A rejected reference costs
+//!   its hash, its shard index, one compare and one per-shard counter
+//!   increment; it is never copied, batched, transported or re-read. Each
+//!   batch carries its shard's rejected count since the previous batch,
+//!   which the worker credits to the model's `processed` count and to the
+//!   `model.accesses`, `model.spatial_rejected` and `shards.accesses`
+//!   counters — so counters advance with every batch, and match the
+//!   sequential path exactly when the call returns.
+//! * **Batching.** Admitted references are accumulated into per-shard
+//!   buffers of [`PipelineConfig::batch_size`] entries (default ~4K),
+//!   amortizing transport synchronization over thousands of references —
+//!   the lever Inoue's multi-step LRU exploits for batched cache
+//!   replacement. Workers only ever see sampled references and apply them
+//!   in order without a second admission test.
 //! * **Lock-free bounded transport + recycling.** Each worker is fed by
 //!   its own single-producer/single-consumer ring ([`crate::ring`]) of
 //!   [`PipelineConfig::queue_depth`] batch slots (rounded up to a power of
@@ -50,8 +63,9 @@
 //! shard's batches in trace order, and the owning worker drains its ring in
 //! FIFO order — so every shard model observes exactly the subsequence it
 //! would see on the sequential path, in the same order, and consumes its
-//! RNG stream identically. Batching never reorders admitted references
-//! ([`KrrModel::access_batch`] documents its half of the contract).
+//! RNG stream identically. Admission drops only references the shard's
+//! own filter would reject, and batching never reorders admitted
+//! references.
 //! Results are therefore bit-identical to [`crate::ShardedKrr::access`]
 //! loops at **any** thread count — not approximately equal: the same
 //! histogram bins, the same MRC bytes. Enforced by the `sharded`,
@@ -72,12 +86,13 @@ use crate::model::KrrModel;
 use crate::obs::{FlightRecorder, Phase};
 use crate::profiler::ProfPhase;
 use crate::ring::{ring, Consumer, Producer};
+use crate::sampling::SpatialFilter;
 use crate::sharded::shard_of_hash;
 
 /// Tuning knobs for the streaming pipeline.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// References per batch (default 4096). Larger batches amortize
+    /// Admitted references per batch (default 4096). Larger batches amortize
     /// transport overhead further but add latency before a shard sees its
     /// keys and grow resident buffer memory (`shards × batch_size × 24 B`
     /// plus whatever is in flight).
@@ -139,31 +154,40 @@ impl PipelineConfig {
 /// workers.
 type RoutedRef = (u64, u32, u64);
 
-/// One routed batch: references (with their precomputed key hashes) all
-/// belonging to `shard`.
+/// One admitted reference as the router sees it: destination slot, key,
+/// size, and the key's [`hash_key`] value.
+type Admitted = (usize, u64, u32, u64);
+
+/// One routed batch for `shard`: the references the router admitted (with
+/// their precomputed key hashes), plus how many references to the same
+/// shard it rejected since the shard's previous batch.
 struct Batch {
     shard: usize,
     refs: Vec<RoutedRef>,
+    rejected: u64,
 }
 
-/// Iterator adapter that hashes and routes in blocks of 8: pulls up to 8
-/// `(key, size)` pairs, runs [`hash_keys8`] over the full blocks (scalar
-/// [`hash_key`] on the final partial block — same values either way), and
-/// yields `(shard, key, size, hash)` in input order.
+/// Hashes, routes and admits in blocks of 8: pulls up to 8 `(key, size)`
+/// pairs, runs [`hash_keys8`] over the full blocks (scalar [`hash_key`] on
+/// the final partial block — same values either way), tests the hashes
+/// with [`SpatialFilter::admits_hashed8`], and yields only admitted
+/// `(shard, key, size, hash)` items in input order. A rejected reference
+/// costs its hash, its shard index and one counter increment.
 struct Route8<I> {
     inner: I,
     n_shards: usize,
-    buf: [(usize, u64, u32, u64); 8],
+    filter: SpatialFilter,
+    buf: [Admitted; 8],
     len: usize,
     pos: usize,
 }
 
-impl<I: Iterator<Item = (u64, u32)>> Iterator for Route8<I> {
-    type Item = (usize, u64, u32, u64);
-
+impl<I: Iterator<Item = (u64, u32)>> Route8<I> {
+    /// The next admitted item; every reference skipped on the way is
+    /// counted in `rejected[shard]`.
     #[inline]
-    fn next(&mut self) -> Option<(usize, u64, u32, u64)> {
-        if self.pos == self.len {
+    fn next_admitted(&mut self, rejected: &mut [u64]) -> Option<Admitted> {
+        while self.pos == self.len {
             let mut keys = [0u64; 8];
             let mut sizes = [0u32; 8];
             let mut n = 0;
@@ -180,24 +204,23 @@ impl<I: Iterator<Item = (u64, u32)>> Iterator for Route8<I> {
             if n == 0 {
                 return None;
             }
-            if n == 8 {
-                let hashes = hash_keys8(keys);
-                for i in 0..8 {
-                    self.buf[i] = (
-                        shard_of_hash(hashes[i], self.n_shards),
-                        keys[i],
-                        sizes[i],
-                        hashes[i],
-                    );
-                }
+            let hashes = if n == 8 {
+                hash_keys8(keys)
             } else {
-                for i in 0..n {
-                    let h = hash_key(keys[i]);
-                    self.buf[i] = (shard_of_hash(h, self.n_shards), keys[i], sizes[i], h);
+                std::array::from_fn(|i| hash_key(keys[i]))
+            };
+            let mask = self.filter.admits_hashed8(&hashes);
+            self.len = 0;
+            self.pos = 0;
+            for i in 0..n {
+                let s = shard_of_hash(hashes[i], self.n_shards);
+                if mask >> i & 1 == 1 {
+                    self.buf[self.len] = (s, keys[i], sizes[i], hashes[i]);
+                    self.len += 1;
+                } else {
+                    rejected[s] += 1;
                 }
             }
-            self.len = n;
-            self.pos = 0;
         }
         let item = self.buf[self.pos];
         self.pos += 1;
@@ -208,7 +231,9 @@ impl<I: Iterator<Item = (u64, u32)>> Iterator for Route8<I> {
 /// Drives `refs` through `models` with `threads` workers plus the calling
 /// thread as router. Returns the models with every reference applied;
 /// per-shard reference order (and therefore every model's state) is
-/// identical to a sequential [`crate::ShardedKrr::access`] loop.
+/// identical to a sequential [`crate::ShardedKrr::access`] loop. Every
+/// shard of a bank shares one spatial filter, so the router admits with
+/// the first model's.
 pub(crate) fn run<I>(
     models: Vec<KrrModel>,
     refs: I,
@@ -220,15 +245,54 @@ pub(crate) fn run<I>(
 where
     I: Iterator<Item = (u64, u32)>,
 {
-    let n_shards = models.len();
-    run_routed(
+    let mut route = Route8 {
+        inner: refs,
+        n_shards: models.len(),
+        filter: models[0].filter(),
+        buf: [(0, 0, 0, 0); 8],
+        len: 0,
+        pos: 0,
+    };
+    drive(
         models,
-        Route8 {
-            inner: refs,
-            n_shards,
-            buf: [(0, 0, 0, 0); 8],
-            len: 0,
-            pos: 0,
+        |rejected| route.next_admitted(rejected),
+        threads,
+        cfg,
+        metrics,
+        recorder,
+    )
+}
+
+/// The router/worker topology over **pre-routed** items: each item carries
+/// its destination slot, key, size, and the key's already-computed
+/// [`hash_key`] value. [`run`] resolves slots by [`shard_of_hash`];
+/// [`crate::fleet::FleetArena`] resolves them by tenant id. The contract
+/// is the same either way — the hash MUST be `hash_key(key)` (computed
+/// exactly once per reference, counted as `pipeline.keys_hashed`), each
+/// item is admitted by its own slot's spatial filter before it is
+/// buffered, slot `s` is owned by worker `s % threads`, and per-slot FIFO
+/// order makes results bit-identical to a sequential loop at any thread
+/// count (the module-level invariant).
+pub(crate) fn run_routed<I>(
+    models: Vec<KrrModel>,
+    mut items: I,
+    threads: usize,
+    cfg: &PipelineConfig,
+    metrics: Option<&Arc<MetricsRegistry>>,
+    recorder: Option<&Arc<FlightRecorder>>,
+) -> Vec<KrrModel>
+where
+    I: Iterator<Item = Admitted>,
+{
+    let filters: Vec<SpatialFilter> = models.iter().map(KrrModel::filter).collect();
+    drive(
+        models,
+        |rejected| loop {
+            let item = items.next()?;
+            if filters[item.0].admits_hashed(item.3) {
+                return Some(item);
+            }
+            rejected[item.0] += 1;
         },
         threads,
         cfg,
@@ -237,25 +301,21 @@ where
     )
 }
 
-/// The generalized router/worker topology over **pre-routed** items: each
-/// item carries its destination slot, key, size, and the key's
-/// already-computed [`hash_key`] value. [`run`] resolves slots by
-/// [`shard_of_hash`]; [`crate::fleet::FleetArena`] resolves them by tenant
-/// id. The contract is the same either way — the hash MUST be
-/// `hash_key(key)` (computed exactly once per reference, counted as
-/// `pipeline.keys_hashed`), slot `s` is owned by worker `s % threads`, and
-/// per-slot FIFO order makes results bit-identical to a sequential loop at
-/// any thread count (the module-level invariant).
-pub(crate) fn run_routed<I>(
+/// The shared router/worker loop. `next` yields the next admitted item and
+/// counts each reference it skips in `rejected[slot]`; the router carries
+/// those counts to the slot's worker in the slot's next batch, where they
+/// are credited to the model ([`KrrModel::credit_rejected`]) and to the
+/// metrics registry — at every batch, not only at join.
+fn drive<F>(
     models: Vec<KrrModel>,
-    items: I,
+    mut next: F,
     threads: usize,
     cfg: &PipelineConfig,
     metrics: Option<&Arc<MetricsRegistry>>,
     recorder: Option<&Arc<FlightRecorder>>,
 ) -> Vec<KrrModel>
 where
-    I: Iterator<Item = (usize, u64, u32, u64)>,
+    F: FnMut(&mut [u64]) -> Option<Admitted>,
 {
     let n_shards = models.len();
     let threads = threads.clamp(1, n_shards);
@@ -328,14 +388,15 @@ where
                         let t0 = Instant::now();
                         let r0 = rec.as_ref().map(|r| r.now_ns());
                         let model = &mut group[batch.shard / threads];
-                        model.access_batch(&batch.refs);
+                        model.access_admitted(&batch.refs);
+                        model.credit_rejected(batch.rejected);
                         if let (Some(r), Some(r0)) = (&rec, r0) {
                             r.record_since(Phase::WorkerBatch, r0, batch.refs.len() as u64);
                         }
                         depth[batch.shard].fetch_sub(1, Ordering::Relaxed);
                         if let Some(reg) = &metrics {
                             reg.shard_accesses
-                                .record(batch.shard, batch.refs.len() as u64);
+                                .record(batch.shard, batch.refs.len() as u64 + batch.rejected);
                             reg.shard_resident
                                 .record(batch.shard, model.stats().distinct);
                             reg.shard_depth_hwm.record(batch.shard, model.deepest_hit());
@@ -363,13 +424,16 @@ where
         // reserving `batch_size` entries per slot up front would waste
         // memory. Hot slots amortize to full capacity via recycling.
         let mut buffers: Vec<Vec<RoutedRef>> = (0..n_shards).map(|_| Vec::new()).collect();
+        // References skipped by admission since each slot's last batch.
+        let mut rejected = vec![0u64; n_shards];
         let mut keys_hashed = 0u64;
         let mut batches = 0u64;
         let mut stalls = 0u64;
         // Self-profiler hash attribution: the stretch between dispatches
-        // is hashing + buffering, which no span covers.
+        // is hashing, admission and buffering, which no span covers.
         let mut hash_mark = router_rec.as_ref().map(|r| r.now_ns());
-        let mut dispatch = |s: usize, refs: Vec<RoutedRef>| {
+        let mut dispatch = |s: usize, refs: Vec<RoutedRef>, rejected: u64| {
+            keys_hashed += refs.len() as u64 + rejected;
             let d = depth[s].fetch_add(1, Ordering::Relaxed) + 1;
             if let Some(reg) = metrics {
                 reg.pipeline_queue_hwm.record(s, d);
@@ -380,7 +444,11 @@ where
                 r.profile(ProfPhase::Hash, b0.saturating_sub(m));
             }
             let tx = &mut batch_txs[s % threads];
-            if let Err(b) = tx.try_push(Batch { shard: s, refs }) {
+            if let Err(b) = tx.try_push(Batch {
+                shard: s,
+                refs,
+                rejected,
+            }) {
                 // Ring full even after refreshing the cached head: the
                 // worker is behind. Spin/park until it drains one.
                 stalls += 1;
@@ -395,20 +463,19 @@ where
                 hash_mark = Some(r.now_ns());
             }
         };
-        for (s, key, size, h) in items {
-            keys_hashed += 1;
+        while let Some((s, key, size, h)) = next(&mut rejected) {
             buffers[s].push((key, size, h));
             if buffers[s].len() >= batch_size {
                 let fresh = free_rxs[s % threads]
                     .try_pop()
                     .unwrap_or_else(|| Vec::with_capacity(batch_size));
                 let full = std::mem::replace(&mut buffers[s], fresh);
-                dispatch(s, full);
+                dispatch(s, full, std::mem::take(&mut rejected[s]));
             }
         }
-        for (s, buf) in buffers.into_iter().enumerate() {
-            if !buf.is_empty() {
-                dispatch(s, buf);
+        for (s, (buf, r)) in buffers.into_iter().zip(rejected).enumerate() {
+            if !buf.is_empty() || r > 0 {
+                dispatch(s, buf, r);
             }
         }
         // `dispatch` borrowed the producers; its last call is above, so the
@@ -458,7 +525,9 @@ where
 /// (`benches/pipeline.rs`) and reachable via
 /// [`crate::ShardedKrr::process_stream_channels`]. Same topology, same
 /// bit-identity invariant; only the transport (bounded channels + an
-/// unbounded recycle channel) and the per-reference worker loop differ.
+/// unbounded recycle channel), the per-reference worker loop, and where
+/// admission happens (each worker's model filters every reference it is
+/// sent) differ.
 pub(crate) fn run_channels<I>(
     models: Vec<KrrModel>,
     refs: I,
@@ -581,7 +650,11 @@ where
             }
             batches += 1;
             let b0 = router_rec.as_ref().map(|r| r.now_ns());
-            match senders[s % threads].try_send(Batch { shard: s, refs }) {
+            match senders[s % threads].try_send(Batch {
+                shard: s,
+                refs,
+                rejected: 0,
+            }) {
                 Ok(()) => {}
                 Err(TrySendError::Full(b)) => {
                     stalls += 1;

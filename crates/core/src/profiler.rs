@@ -57,11 +57,13 @@ pub const PROFILE_RING_CAPACITY: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ProfPhase {
-    /// Key hashing + routing in the router (`hash_keys8` stretches).
+    /// Key hashing, routing and spatial admission in the router (the
+    /// `hash_keys8` stretches between dispatches).
     Hash = 0,
     /// Router dispatch/filter work: batch hand-off, shard bookkeeping.
     Filter = 1,
-    /// Model work in a worker: spatial filter + stack updates + merge.
+    /// Model work: stack updates + merge (pipeline workers receive only
+    /// references the router already admitted).
     Update = 2,
     /// Waiting on a ring: router blocked on a full ring, worker on empty.
     RingWait = 3,

@@ -57,20 +57,35 @@ impl SpatialFilter {
     #[inline]
     #[must_use]
     pub fn admits_hashed(&self, key_hash: u64) -> bool {
-        key_hash % self.modulus < self.threshold
+        let low = if self.modulus.is_power_of_two() {
+            key_hash & (self.modulus - 1)
+        } else {
+            key_hash % self.modulus
+        };
+        low < self.threshold
     }
 
     /// [`SpatialFilter::admits_hashed`] over a batch of 8 pre-hashed keys,
     /// returning a bitmask (bit `i` set ⇔ `hashes[i]` admitted). Branchless:
     /// each lane is one compare folded into the mask, so the batched
     /// pipeline hot path takes no data-dependent branches while filtering.
-    /// Bit-identical to eight scalar calls by construction.
+    /// Bit-identical to eight scalar calls by construction. A power-of-two
+    /// modulus (every [`SpatialFilter::with_rate`] / [`SpatialFilter::all`]
+    /// filter) reduces with a mask; any other modulus, such as one restored
+    /// from a checkpoint, keeps the division.
     #[inline]
     #[must_use]
     pub fn admits_hashed8(&self, hashes: &[u64; 8]) -> u8 {
         let mut mask = 0u8;
-        for (i, &h) in hashes.iter().enumerate() {
-            mask |= u8::from(h % self.modulus < self.threshold) << i;
+        if self.modulus.is_power_of_two() {
+            let low = self.modulus - 1;
+            for (i, &h) in hashes.iter().enumerate() {
+                mask |= u8::from(h & low < self.threshold) << i;
+            }
+        } else {
+            for (i, &h) in hashes.iter().enumerate() {
+                mask |= u8::from(h % self.modulus < self.threshold) << i;
+            }
         }
         mask
     }
@@ -172,6 +187,35 @@ mod tests {
             let mask = f.admits_hashed8(&hashes);
             for (i, &h) in hashes.iter().enumerate() {
                 assert_eq!(mask >> i & 1 == 1, f.admits_hashed(h), "lane {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn masked_reduction_matches_division() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(41);
+        let mut hashes: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
+        hashes.extend([0, 1, u64::MAX, u64::MAX - 1, 1 << 24, (1 << 24) - 1]);
+        let filters = [
+            SpatialFilter::all(),
+            SpatialFilter::with_rate(0.005),
+            SpatialFilter::with_rate(0.5),
+            SpatialFilter::new(1, 1),
+            SpatialFilter::new(5, 8),
+            SpatialFilter::new(3, 1000),
+            SpatialFilter::new(999, 1000),
+        ];
+        for f in filters {
+            let by_division = |h: u64| h % f.modulus() < f.threshold();
+            for &h in &hashes {
+                assert_eq!(f.admits_hashed(h), by_division(h), "{f:?} {h:#x}");
+            }
+            for c in hashes.chunks_exact(8) {
+                let lanes: [u64; 8] = c.try_into().expect("chunk of 8");
+                let mask = f.admits_hashed8(&lanes);
+                for (i, &h) in lanes.iter().enumerate() {
+                    assert_eq!(mask >> i & 1 == 1, by_division(h), "{f:?} lane {i}");
+                }
             }
         }
     }

@@ -10,16 +10,17 @@
 //! scaling approximation.
 //!
 //! Every key is hashed exactly **once**: shard routing consumes the high
-//! 32 bits of [`hash_key`] and the models' spatial filter consumes the low
-//! 24 bits, disjoint slices of the same fully-avalanched hash (see
+//! 32 bits of [`hash_key`] and the spatial filter consumes the low 24
+//! bits, disjoint slices of the same fully-avalanched hash (see
 //! [`shard_of_hash`]). The hash is computed at the entry point — the
 //! sequential [`ShardedKrr::access`] or the [`pipeline`] router — and
 //! passed through, so neither routing nor sampling ever re-hashes.
 //!
 //! The parallel path ([`ShardedKrr::process_stream`]) is a streaming,
-//! route-once, batched pipeline: a router thread hashes and batches
-//! references per shard, and per-shard workers drain batches over
-//! lock-free SPSC rings ([`crate::ring`]). Total routing work is O(N)
+//! route-once, batched pipeline: a router thread hashes, routes and
+//! admits references — unsampled ones are only counted per shard — and
+//! batches the sampled ones per shard; per-shard workers drain batches
+//! over lock-free SPSC rings ([`crate::ring`]). Total routing work is O(N)
 //! regardless of thread count, and
 //! per-shard RNG seeds plus deterministic per-shard order keep results
 //! bit-identical at any thread count.
@@ -40,10 +41,19 @@ use crate::pipeline::{self, PipelineConfig};
 /// Uses the hash's **high 32 bits** so the result is independent of the low
 /// 24 bits that [`crate::SpatialFilter`] consumes for spatial sampling —
 /// one hash serves both decisions without correlating them.
+///
+/// Equals `(key_hash >> 32) % n_shards`; a power-of-two shard count takes
+/// a mask instead of the division.
 #[inline]
 #[must_use]
 pub fn shard_of_hash(key_hash: u64, n_shards: usize) -> usize {
-    ((key_hash >> 32) % n_shards as u64) as usize
+    let high = key_hash >> 32;
+    let n = n_shards as u64;
+    (if n.is_power_of_two() {
+        high & (n - 1)
+    } else {
+        high % n
+    }) as usize
 }
 
 /// A bank of per-shard KRR models covering the whole key space.
@@ -122,6 +132,12 @@ impl ShardedKrr {
         self.shards.len()
     }
 
+    /// The shard models, indexed by shard.
+    #[must_use]
+    pub fn shards(&self) -> &[KrrModel] {
+        &self.shards
+    }
+
     /// The shard responsible for `key`.
     #[must_use]
     pub fn shard_for(&self, key: u64) -> usize {
@@ -157,8 +173,11 @@ impl ShardedKrr {
 
     /// Streams `refs` through the route-once batched pipeline with
     /// `threads` worker threads (plus the calling thread as router). The
-    /// trace never needs to be materialized; results are bit-identical to
-    /// the sequential [`ShardedKrr::access`] loop at any thread count.
+    /// trace never needs to be materialized; results — MRC, per-shard
+    /// stats, checkpoint bytes and metrics counters — are identical to the
+    /// sequential [`ShardedKrr::access`] loop at any thread count. The
+    /// router applies spatial sampling, so workers only see sampled
+    /// references.
     /// Pipeline tuning scales with the worker count
     /// ([`PipelineConfig::for_threads`]): wide pools get bigger batches
     /// and deeper queues so the single router keeps up.
@@ -188,8 +207,9 @@ impl ShardedKrr {
 
     /// [`ShardedKrr::process_stream`] over the PR 6-era transport: bounded
     /// `sync_channel`s instead of lock-free SPSC rings, scalar hashing
-    /// instead of 8-wide, and a per-reference worker drain instead of
-    /// [`KrrModel::access_batch`]. Kept as the live A/B baseline for
+    /// instead of 8-wide, and every reference sent to a worker that filters
+    /// and applies it one at a time, instead of admission at the router.
+    /// Kept as the live A/B baseline for
     /// `benches/pipeline.rs`; results are bit-identical to
     /// [`ShardedKrr::process_stream`], just slower.
     pub fn process_stream_channels<I>(&mut self, refs: I, threads: usize)
@@ -345,6 +365,14 @@ impl ShardedKrr {
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             shards.push(KrrModel::load_state(dec)?);
+        }
+        // The merged MRC and the pipeline router both assume one spatial
+        // filter for the whole bank, as `ShardedKrr::new` builds it.
+        if shards.iter().any(|m| m.filter() != shards[0].filter()) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "checkpoint shards disagree on the spatial filter",
+            ));
         }
         Ok(Self {
             shards,
@@ -527,6 +555,20 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_shards_with_different_filters() {
+        use crate::checkpoint::{Dec, Enc};
+        let cfg = KrrConfig::new(4.0).sampling(0.5);
+        let mut enc = Enc::new();
+        cfg.save_state(&mut enc);
+        enc.put_u64(2);
+        KrrModel::new(cfg.clone()).save_state(&mut enc);
+        KrrModel::new(cfg.clone().sampling(0.25)).save_state(&mut enc);
+        let bytes = enc.into_bytes();
+        let err = ShardedKrr::load_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
     fn shard_routing_is_stable_and_balanced() {
         let cfg = KrrConfig::new(2.0);
         let sharded = ShardedKrr::new(&cfg, 8);
@@ -539,6 +581,19 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             let dev = (f64::from(c) - 10_000.0).abs() / 10_000.0;
             assert!(dev < 0.05, "shard {i} holds {c}");
+        }
+    }
+
+    #[test]
+    fn masked_shard_routing_matches_division() {
+        let mut rng = Xoshiro256::seed_from_u64(40);
+        let mut hashes: Vec<u64> = (0..2048).map(|_| rng.next_u64()).collect();
+        hashes.extend([0, 1, u64::MAX, u64::MAX << 32, u64::MAX >> 32]);
+        for n in 1..=64usize {
+            for &h in &hashes {
+                let expected = ((h >> 32) % n as u64) as usize;
+                assert_eq!(shard_of_hash(h, n), expected, "n={n} h={h:#x}");
+            }
         }
     }
 

@@ -81,6 +81,14 @@ cmp "$smoke/mrc.csv" "$smoke/resumed.csv"
 grep -q '"accesses":50000' "$smoke/krr-metrics.json"
 krr doctor --offline "$smoke" > "$smoke/doctor.out"
 grep -q "valid .*krr-metrics.json (krr-metrics-v1)" "$smoke/doctor.out"
+# Sampled round trip: the pipeline router drops unsampled references, so
+# the MRC must not depend on the worker count and the metrics must still
+# count every reference of the trace.
+krr model --rate 0.01 --shards 8 --threads 1 "$smoke/trace.csv" > "$smoke/sampled-1.csv"
+krr model --rate 0.01 --shards 8 --threads 4 \
+    --metrics-out "$smoke/sampled-metrics.json" "$smoke/trace.csv" > "$smoke/sampled-4.csv"
+cmp "$smoke/sampled-1.csv" "$smoke/sampled-4.csv"
+grep -q '"accesses":50000' "$smoke/sampled-metrics.json"
 rm -rf "$smoke"
 
 # Optional perf tracking: KRR_CI_BENCH=1 refreshes BENCH_pipeline.json

@@ -88,6 +88,55 @@ fn per_tenant_mrcs_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn sampled_fleet_parallel_matches_sequential_state_and_counters() {
+    // Under spatial sampling the router admits with each tenant's own
+    // filter and credits the rejected references to that tenant; models
+    // and counters must match the sequential loop exactly.
+    let refs = fleet_refs(40_000, 12, 120_000, 23);
+    let template = KrrConfig::new(5.0).seed(6).sampling(0.05);
+    let seq_reg = Arc::new(MetricsRegistry::new());
+    let mut seq = FleetArena::new(FleetConfig::new(template.clone()));
+    seq.set_metrics(Arc::clone(&seq_reg));
+    for &(t, k, s) in &refs {
+        seq.access(t, k, s);
+    }
+    let seq_snap = seq_reg.snapshot();
+    assert!(seq_snap.spatial_rejected > 0);
+    for threads in [1, 2, 8] {
+        let reg = Arc::new(MetricsRegistry::new());
+        let mut par = FleetArena::new(FleetConfig::new(template.clone()));
+        par.set_metrics(Arc::clone(&reg));
+        par.process_parallel(&refs, threads);
+        assert_eq!(par.stats(), seq.stats(), "{threads} threads");
+        for id in seq.tenant_ids() {
+            let (a, b) = (par.tenant_model(id).unwrap(), seq.tenant_model(id).unwrap());
+            assert_eq!(a.stats(), b.stats(), "tenant {id}, {threads} threads");
+            assert_eq!(
+                a.mrc().points(),
+                b.mrc().points(),
+                "tenant {id}, {threads} threads"
+            );
+        }
+        let snap = reg.snapshot();
+        assert_eq!(
+            (
+                snap.accesses,
+                snap.spatial_rejected,
+                snap.hits,
+                snap.cold_misses
+            ),
+            (
+                seq_snap.accesses,
+                seq_snap.spatial_rejected,
+                seq_snap.hits,
+                seq_snap.cold_misses
+            ),
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
 fn tenant_labeled_series_render_as_valid_openmetrics() {
     let refs = fleet_refs(2_000, 5, 40_000, 3);
     let reg = Arc::new(MetricsRegistry::new());

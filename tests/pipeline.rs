@@ -317,3 +317,117 @@ fn channel_baseline_matches_ring_pipeline() {
         assert_eq!(rings.stats(), chans.stats());
     }
 }
+
+/// Counters a pipeline run must leave exactly where the sequential path
+/// leaves them: `(accesses, spatial_rejected, hits, cold_misses,
+/// shard_accesses)`.
+fn counters(reg: &MetricsRegistry) -> (u64, u64, u64, u64, Vec<u64>) {
+    let s = reg.snapshot();
+    (
+        s.accesses,
+        s.spatial_rejected,
+        s.hits,
+        s.cold_misses,
+        s.shard_accesses,
+    )
+}
+
+#[test]
+fn router_admission_matches_sequential_state_and_counters() {
+    // The router drops unsampled references before they are buffered and
+    // credits them per shard; the result must be indistinguishable from
+    // offering every reference to `ShardedKrr::access`: MRC, per-shard
+    // stats, checkpoint bytes and every counter, per-shard slots included.
+    let refs = skewed(200_000, 120_000, 31);
+    for rate in [0.005, 0.05, 1.0] {
+        let cfg = KrrConfig::new(5.0).seed(31).sampling(rate);
+        let seq_reg = Arc::new(MetricsRegistry::new());
+        let mut seq = ShardedKrr::new(&cfg, 8);
+        seq.set_metrics(Arc::clone(&seq_reg));
+        for &(k, s) in &refs {
+            seq.access(k, s);
+        }
+        let mut seq_bytes = Vec::new();
+        seq.checkpoint(&mut seq_bytes).unwrap();
+        let seq_stats: Vec<_> = seq.shards().iter().map(KrrModel::stats).collect();
+        assert!(seq_reg.snapshot().spatial_rejected > 0 || rate == 1.0);
+
+        for threads in [1, 2, 8] {
+            let at = format!("rate {rate}, {threads} threads");
+            let reg = Arc::new(MetricsRegistry::new());
+            let mut par = ShardedKrr::new(&cfg, 8);
+            par.set_metrics(Arc::clone(&reg));
+            // Two calls, so per-shard rejected counts also carry across a
+            // call boundary.
+            let (a, b) = refs.split_at(refs.len() / 3);
+            par.process_stream(a.iter().copied(), threads);
+            par.process_stream(b.iter().copied(), threads);
+            assert_eq!(par.mrc().points(), seq.mrc().points(), "{at}");
+            let stats: Vec<_> = par.shards().iter().map(KrrModel::stats).collect();
+            assert_eq!(stats, seq_stats, "{at}");
+            let mut bytes = Vec::new();
+            par.checkpoint(&mut bytes).unwrap();
+            assert!(bytes == seq_bytes, "{at}: checkpoint bytes differ");
+            assert_eq!(counters(&reg), counters(&seq_reg), "{at}");
+            assert_eq!(
+                reg.snapshot().pipeline_keys_hashed,
+                refs.len() as u64,
+                "{at}"
+            );
+
+            // Detached models take the uncounted fast path; it must land
+            // in the same state.
+            let mut bare = ShardedKrr::new(&cfg, 8);
+            bare.process_stream(refs.iter().copied(), threads);
+            let mut bare_bytes = Vec::new();
+            bare.checkpoint(&mut bare_bytes).unwrap();
+            assert!(bare_bytes == seq_bytes, "{at}: detached bytes differ");
+        }
+    }
+}
+
+#[test]
+fn rejected_references_reach_the_counters_before_the_call_returns() {
+    // A live scrape during one long `process_stream` call must see the
+    // rejected references of batches already dispatched, not 0 until the
+    // end. The stream itself pauses halfway until the worker has credited
+    // some.
+    let refs = skewed(100_000, 100_000, 32);
+    let cfg = KrrConfig::new(5.0).seed(32).sampling(0.05);
+    let reg = Arc::new(MetricsRegistry::new());
+    let mut bank = ShardedKrr::new(&cfg, 4);
+    bank.set_metrics(Arc::clone(&reg));
+    let live = Arc::clone(&reg);
+    let half = refs.len() / 2;
+    let mut seen_mid_call = (0, 0);
+    let stream = refs.iter().enumerate().map(|(i, &r)| {
+        if i == half {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while live.snapshot().spatial_rejected == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let s = live.snapshot();
+            seen_mid_call = (s.spatial_rejected, s.shard_accesses.iter().sum::<u64>());
+        }
+        r
+    });
+    bank.process_stream_with(
+        stream,
+        1,
+        &PipelineConfig {
+            batch_size: 64,
+            queue_depth: 4,
+        },
+    );
+    let (rejected, routed) = seen_mid_call;
+    assert!(rejected > 0, "no rejected reference counted mid-call");
+    assert!(routed > rejected, "per-shard slots lag the rejected count");
+    assert!(routed <= half as u64);
+    let end = reg.snapshot();
+    assert_eq!(end.accesses, refs.len() as u64);
+    assert_eq!(end.shard_accesses.iter().sum::<u64>(), refs.len() as u64);
+    assert_eq!(
+        end.spatial_rejected,
+        bank.stats().processed - bank.stats().sampled
+    );
+}
