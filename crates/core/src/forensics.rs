@@ -16,10 +16,13 @@
 //!
 //! Concurrency: connection threads capture concurrently, so slots are
 //! claimed with one `fetch_add` and sealed with a per-slot sequence word
-//! (seqlock): writer stores 0 (`Release`), fills the payload (`Relaxed`),
-//! then stores `claim + 1` (`Release`); the reader loads the sequence
-//! (`Acquire`), copies the payload, fences, and re-checks — a torn slot
-//! reads as in-progress and is skipped, never emitted half-written. The
+//! (seqlock). Once the ring wraps, two writers can claim the same slot,
+//! so a writer first takes the slot by swapping its sequence to `WRITING`
+//! (and leaves a slot that already holds a newer exemplar alone), fences
+//! (`Release`), fills the payload (`Relaxed`), then stores `claim + 1`
+//! (`Release`); the reader loads the sequence (`Acquire`), copies the
+//! payload, fences, and re-checks — a torn slot reads as in-progress and
+//! is skipped, never emitted half-written. The
 //! whole structure is independent of the model: capture touches no KRR
 //! state, so MRCs stay bit-identical with forensics on or off.
 //!
@@ -80,10 +83,13 @@ fn pack_flags(ex: &Exemplar) -> u64 {
     u64::from(ex.command_tag) | (u64::from(ex.scrape_in_progress) << 8)
 }
 
+/// [`Slot::seq`] while one writer owns the slot.
+const WRITING: u64 = u64::MAX;
+
 #[derive(Debug)]
 struct Slot {
-    /// 0 = empty or being written; otherwise `claim + 1` of the writer
-    /// that sealed it.
+    /// 0 = empty, [`WRITING`] = owned by a writer; otherwise `claim + 1`
+    /// of the writer that sealed it.
     seq: AtomicU64,
     words: [AtomicU64; WORDS],
 }
@@ -216,7 +222,29 @@ impl ExemplarRing {
     pub fn capture(&self, ex: &Exemplar) {
         let claim = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(claim % self.slots.len() as u64) as usize];
-        slot.seq.store(0, Ordering::Release);
+        // Own the slot before writing: writers whose claims share it would
+        // otherwise interleave their payload words.
+        let mut seq = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if seq == WRITING {
+                std::thread::yield_now();
+                seq = slot.seq.load(Ordering::Relaxed);
+            } else if seq > claim + 1 {
+                return; // a newer exemplar already took this slot
+            } else {
+                match slot.seq.compare_exchange_weak(
+                    seq,
+                    WRITING,
+                    Ordering::Acquire,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break,
+                    Err(now) => seq = now,
+                }
+            }
+        }
+        // Readers that see any payload word below must also see WRITING.
+        fence(Ordering::Release);
         let words = [
             ex.request_id,
             ex.tenant.map_or(u64::MAX, |t| t),
@@ -285,7 +313,7 @@ impl ExemplarRing {
         let mut exemplars = Vec::with_capacity(self.slots.len());
         for slot in self.slots.iter() {
             let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 {
+            if seq == 0 || seq == WRITING {
                 continue;
             }
             let words: [u64; WORDS] =

@@ -1,9 +1,17 @@
-//! Key hashing for spatial sampling and for the stack's key index.
+//! Key hashing for spatial sampling, shard routing and `u64`-keyed maps.
 //!
 //! Spatial sampling (SHARDS, §2.4 of the paper) requires a hash whose low
 //! bits are uniform regardless of key structure; sequential block numbers are
 //! the common worst case. We use the `splitmix64` finalizer, which passes
 //! avalanche tests and costs a handful of ALU ops.
+//!
+//! A sampled key set is *not* uniform in [`hash_key`]: the filter keeps
+//! only keys whose low 24 bits fall below `R·2^24`, and a shard sees only
+//! keys whose bits from 32 up name it. A table indexed by those bits would
+//! crowd every key into a few buckets, so [`KeyMap`] hashes with an
+//! independently salted mix, and the stack's id index
+//! ([`crate::stack`]) takes its probe start from the top bits of a
+//! multiplicative mix of [`hash_key`].
 
 use crate::rng::mix64;
 use std::hash::{BuildHasher, Hasher};
@@ -31,10 +39,16 @@ pub fn hash_keys8(keys: [u64; 8]) -> [u64; 8] {
     keys.map(hash_key)
 }
 
-/// A `BuildHasher` for `u64` keys used by the stack's key→position index.
+/// Salt that makes [`KeyHasher`] independent of [`hash_key`].
+const MAP_SALT: u64 = 0x5851_F42D_4C95_7F2D;
+
+/// A `BuildHasher` for `u64` keys, used by [`KeyMap`] and [`KeySet`].
 ///
-/// `write_u64` applies [`hash_key`]; other write methods fall back to a
-/// simple folding scheme (they are not used on the hot path).
+/// `write_u64` applies `mix64` with a salt of its own, so the bucket
+/// (low bits) and tag (high bits) a hash table reads stay uniform on key
+/// sets that a spatial filter or a shard router selected by [`hash_key`].
+/// Other write methods fall back to a simple folding scheme (they are not
+/// used on the hot path).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyHashBuilder;
 
@@ -68,17 +82,17 @@ impl Hasher for KeyHasher {
 
     #[inline]
     fn write_u64(&mut self, i: u64) {
-        self.state = hash_key(i);
+        self.state = mix64(i ^ MAP_SALT);
     }
 
     #[inline]
     fn write_u32(&mut self, i: u32) {
-        self.state = hash_key(u64::from(i));
+        self.write_u64(u64::from(i));
     }
 
     #[inline]
     fn write_usize(&mut self, i: usize) {
-        self.state = hash_key(i as u64);
+        self.write_u64(i as u64);
     }
 }
 
@@ -91,6 +105,7 @@ pub type KeySet = std::collections::HashSet<u64, KeyHashBuilder>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::SpatialFilter;
 
     #[test]
     fn hash_key_is_deterministic_and_injective_on_small_sets() {
@@ -126,6 +141,31 @@ mod tests {
             for (i, &k) in keys.iter().enumerate() {
                 assert_eq!(batch[i], hash_key(k));
             }
+        }
+    }
+
+    #[test]
+    fn sampled_keys_spread_over_keymap_buckets() {
+        // hashbrown picks a key's bucket from the low hash bits. Keys a
+        // spatial filter admitted at R = 0.001 share the low 24 bits of
+        // `hash_key`, so those bits alone would use ~6% of these buckets.
+        let buckets = 1usize << 18;
+        let keys = crate::sampling::admitted_keys(SpatialFilter::with_rate(0.001), 1 << 16);
+        let mut hits = vec![0u32; buckets];
+        for &k in &keys {
+            hits[KeyHashBuilder.hash_one(k) as usize & (buckets - 1)] += 1;
+        }
+        // 2^16 keys in 2^18 buckets: a uniform hash leaves e^-0.25 empty.
+        let empty = hits.iter().filter(|&&h| h == 0).count() as f64 / buckets as f64;
+        assert!(
+            (empty - (-0.25f64).exp()).abs() < 0.005,
+            "empty share {empty}"
+        );
+        // And every 1/256 of the table gets its share of the keys.
+        let expected = keys.len() as f64 / 256.0;
+        for (i, part) in hits.chunks(buckets / 256).enumerate() {
+            let n = part.iter().sum::<u32>() as f64;
+            assert!((n - expected).abs() < 0.25 * expected, "part {i}: {n}");
         }
     }
 

@@ -6,6 +6,7 @@
 //! `sizeArray`, and the stack-distance histogram from which the MRC is read.
 
 use crate::checkpoint::{CheckpointReader, CheckpointWriter, Dec, Enc, SECTION_MODEL};
+use crate::footprint::Footprint;
 use crate::histogram::SdHistogram;
 use crate::metrics::MetricsRegistry;
 use crate::mrc::Mrc;
@@ -188,10 +189,6 @@ pub struct ModelStats {
     pub sampled: u64,
     /// Distinct sampled objects (stack length).
     pub distinct: u64,
-}
-
-fn krr_sizearray_bytes(sa: &SizeArray) -> usize {
-    sa.memory_bytes()
 }
 
 /// One-pass K-LRU MRC profiler.
@@ -552,13 +549,11 @@ impl KrrModel {
         self.deepest_phi
     }
 
-    /// Estimated heap footprint of the whole profiler in bytes: stack +
-    /// key index + histogram + optional sizeArray (§5.6).
+    /// Heap footprint of the whole profiler in bytes (§5.6):
+    /// [`Footprint::footprint`]'s total.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.stack.memory_bytes()
-            + self.hist.memory_bytes()
-            + self.sizes.as_ref().map_or(0, krr_sizearray_bytes)
+        self.footprint().total()
     }
 
     /// Serializes the full model state — config, spatial filter, stack
@@ -633,10 +628,9 @@ impl KrrModel {
     }
 }
 
-impl crate::footprint::Footprint for KrrModel {
-    /// Stack + key index + histogram + optional sizeArray — the same
-    /// composition as [`KrrModel::memory_bytes`] but with the per-field
-    /// breakdown the footprint gauges publish.
+impl Footprint for KrrModel {
+    /// Stack + key index + histogram + optional sizeArray, with the
+    /// per-field breakdown the footprint gauges publish.
     fn footprint(&self) -> crate::footprint::FootprintReport {
         let mut r = self.stack.footprint();
         r.merge(&self.hist.footprint());

@@ -142,6 +142,14 @@ pub fn rate_for_working_set(requested_rate: f64, working_set: u64, min_objects: 
 /// The paper's default guard value: 8K sampled objects.
 pub const DEFAULT_MIN_SAMPLED_OBJECTS: u64 = 8 * 1024;
 
+/// The first `n` of the keys `0, 1, 2, …` that `filter` admits. Their
+/// hashes all share small low bits, the worst case for a hash table that
+/// picks buckets from those bits.
+#[cfg(test)]
+pub(crate) fn admitted_keys(filter: SpatialFilter, n: usize) -> Vec<u64> {
+    (0..).filter(|&k| filter.admits(k)).take(n).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
