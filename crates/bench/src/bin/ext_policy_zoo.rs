@@ -1,17 +1,13 @@
 //! Extension experiment: the replacement-policy zoo on one workload —
-//! Belady's OPT (lower bound), exact LRU, ARC, K-LRU, sampled LFU and
-//! hyperbolic caching — with MRCs from direct simulation, plus the
-//! miniature-simulation predictions §6.2 prescribes for the non-stack
-//! members (ARC).
+//! Belady's OPT (lower bound), exact LRU, K-LRU, sampled LFU and
+//! hyperbolic caching — with MRCs from direct simulation.
 //!
 //! Run: `cargo run --release -p krr-bench --bin ext_policy_zoo`
 
 use krr_bench::{report, requests, scale, threads};
-use krr_sim::arc::ArcCache;
 use krr_sim::opt::opt_mrc;
 use krr_sim::sampled::{HyperbolicScore, SampledCache};
-use krr_sim::wtinylfu::WTinyLfuCache;
-use krr_sim::{even_capacities, simulate_mrc, Cache, Capacity, KLfuCache, MiniSim, Policy, Unit};
+use krr_sim::{even_capacities, simulate_mrc, Cache, Capacity, KLfuCache, Policy, Unit};
 use krr_trace::{msr, Request};
 
 fn curve_of(
@@ -50,26 +46,13 @@ fn main() {
     let hyper = curve_of(&trace, &caps, |c| {
         Box::new(SampledCache::new(c, 5, HyperbolicScore::default(), 4))
     });
-    let arc = curve_of(&trace, &caps, |c| Box::new(ArcCache::new(c)));
-    let wtlfu = curve_of(&trace, &caps, |c| Box::new(WTinyLfuCache::new(c)));
-    // Miniature-simulation prediction for the non-stack policy (ARC).
-    let arc_mini = {
-        let mut ms = MiniSim::new(&caps, 0.2, |c| Box::new(ArcCache::new(c)), false);
-        for r in &trace {
-            ms.access(r);
-        }
-        ms.mrc()
-    };
 
     let columns: Vec<(&str, &krr_core::Mrc)> = vec![
         ("OPT", &opt),
         ("LRU", &lru),
-        ("ARC", &arc),
-        ("ARC-mini", &arc_mini),
         ("K-LRU(5)", &klru),
         ("K-LFU(5)", &klfu),
         ("Hyper(5)", &hyper),
-        ("W-TinyLFU", &wtlfu),
     ];
     let header: Vec<String> = std::iter::once("cache".to_string())
         .chain(columns.iter().map(|(n, _)| (*n).to_string()))
@@ -101,10 +84,6 @@ fn main() {
         }
     }
     println!("\nOPT <= LRU violations: {violations} (expect 0)");
-    println!(
-        "ARC miniature-simulation MAE vs full ARC: {:.5}",
-        arc.mae(&arc_mini, &sizes)
-    );
 
     let csv: Vec<String> = caps
         .iter()
@@ -118,7 +97,7 @@ fn main() {
         .collect();
     report::write_csv(
         "ext_policy_zoo",
-        "cache_size,opt,lru,arc,arc_mini,klru5,klfu5,hyper5,wtinylfu",
+        "cache_size,opt,lru,klru5,klfu5,hyper5",
         &csv,
     );
 }

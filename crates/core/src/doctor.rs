@@ -5,14 +5,13 @@
 //! reads a `krr-metrics-v1` snapshot — *stalls growing + router parks
 //! growing ⇒ model-bound ⇒ more threads*, and so on. This module executes
 //! that table: [`DoctorCounters`] carries the counters the playbook keys
-//! on (extracted from a live `/metrics?format=json` scrape, an offline
-//! `--metrics-out` file, or a committed `BENCH_pipeline.json`),
-//! [`diagnose`] runs the rules, and the result renders as text or as a
-//! `krr-doctor-v1` JSON report — each [`Finding`] names the signature,
-//! the evidence counters, and the knob to turn. Exemplar-ring statistics
-//! ([`ExemplarStats`]) extend the playbook with tail-attribution rules
-//! the counters alone can't express (e.g. most tail requests overlapped a
-//! `/metrics` scrape).
+//! on (extracted from a live `/metrics?format=json` scrape or an offline
+//! `--metrics-out` file), [`diagnose`] runs the rules, and the result
+//! renders as text or as a `krr-doctor-v1` JSON report — each
+//! [`Finding`] names the signature, the evidence counters, and the knob
+//! to turn. Exemplar-ring statistics ([`ExemplarStats`]) extend the
+//! playbook with tail-attribution rules the counters alone can't express
+//! (e.g. most tail requests overlapped a `/metrics` scrape).
 //!
 //! The same module backs the CI artifact gate: [`validate_artifact`]
 //! checks any committed `BENCH_*.json` / `krr-*-v1` document against the
@@ -29,6 +28,7 @@
 //! ```
 
 use crate::json::Json;
+use crate::metrics::CATALOG;
 
 /// Exemplar-ring statistics joined into a diagnosis (from a live
 /// `/exemplars` scrape or an offline `krr-exemplars-v1` dump).
@@ -46,7 +46,7 @@ pub struct ExemplarStats {
 /// healthy value, so fixtures only set what a rule should see.
 #[derive(Debug, Clone, Default)]
 pub struct DoctorCounters {
-    /// `pipeline.stalls` — router pushes that found every ring slot full.
+    /// `pipeline.stalls` — router sends that found the worker's queue full.
     pub stalls: u64,
     /// `pipeline.batches`.
     pub batches: u64,
@@ -54,7 +54,7 @@ pub struct DoctorCounters {
     pub router_parks: u64,
     /// `pipeline.ring.worker_parks`.
     pub worker_parks: u64,
-    /// `pipeline.ring.depth_hwm` — per-worker ring high-water marks.
+    /// `pipeline.ring.depth_hwm` — per-worker queue high-water marks.
     pub ring_depth_hwm: Vec<u64>,
     /// `shards.accesses` — per-shard access counts.
     pub shard_accesses: Vec<u64>,
@@ -62,7 +62,7 @@ pub struct DoctorCounters {
     pub drift_events: u64,
     /// `watchdog.mae_ppm`.
     pub mae_ppm: u64,
-    /// Configured ring slots per worker, when known (`queue_depth`); used
+    /// Configured queue depth per worker, when known (`queue_depth`); used
     /// to tell "high-water mark pinned at the credit limit" precisely.
     /// `None` falls back to a uniform-saturation heuristic.
     pub queue_depth_slots: Option<u64>,
@@ -74,12 +74,24 @@ pub struct DoctorCounters {
 
 impl DoctorCounters {
     /// Extracts the playbook counters from a parsed `krr-metrics-v1`
-    /// document (the dotted paths locked in by the golden-schema test).
+    /// document, each at the JSON path its [`CATALOG`] row renders it
+    /// under. A counter absent from the document reads 0.
+    ///
+    /// # Panics
+    ///
+    /// If a playbook counter is no longer a catalog row.
     #[must_use]
     pub fn from_metrics_json(doc: &Json) -> DoctorCounters {
-        let num = |path: &[&str]| doc.path(path).and_then(Json::as_num).unwrap_or(0.0) as u64;
-        let arr = |path: &[&str]| {
-            doc.path(path)
+        let at = |field: &str| {
+            let row = CATALOG
+                .iter()
+                .find(|m| m.field == field)
+                .expect("playbook counter is a catalog row");
+            doc.path(&row.json.split('.').collect::<Vec<_>>())
+        };
+        let num = |field: &str| at(field).and_then(Json::as_num).unwrap_or(0.0) as u64;
+        let arr = |field: &str| {
+            at(field)
                 .and_then(Json::as_arr)
                 .map(|a| {
                     a.iter()
@@ -90,47 +102,17 @@ impl DoctorCounters {
                 .unwrap_or_default()
         };
         DoctorCounters {
-            stalls: num(&["pipeline", "stalls"]),
-            batches: num(&["pipeline", "batches"]),
-            router_parks: num(&["pipeline", "ring", "router_parks"]),
-            worker_parks: num(&["pipeline", "ring", "worker_parks"]),
-            ring_depth_hwm: arr(&["pipeline", "ring", "depth_hwm"]),
-            shard_accesses: arr(&["shards", "accesses"]),
-            drift_events: num(&["watchdog", "drift_events"]),
-            mae_ppm: num(&["watchdog", "mae_ppm"]),
+            stalls: num("pipeline_stalls"),
+            batches: num("pipeline_batches"),
+            router_parks: num("pipeline_router_parks"),
+            worker_parks: num("pipeline_worker_parks"),
+            ring_depth_hwm: arr("pipeline_ring_hwm"),
+            shard_accesses: arr("shard_accesses"),
+            drift_events: num("watchdog_drift_events"),
+            mae_ppm: num("watchdog_mae_ppm"),
             queue_depth_slots: None,
             exemplars: None,
             profiler_dropped: None,
-        }
-    }
-
-    /// Extracts the counters from a committed `BENCH_pipeline.json`
-    /// (`krr-bench-pipeline-v2`): the `ring_t8` block snapshots the ring
-    /// health counters at the 8-thread tuning.
-    #[must_use]
-    pub fn from_bench_pipeline(doc: &Json) -> DoctorCounters {
-        let ring = doc.get("ring_t8");
-        let num = |key: &str| {
-            ring.and_then(|r| r.get(key))
-                .and_then(Json::as_num)
-                .unwrap_or(0.0) as u64
-        };
-        DoctorCounters {
-            stalls: num("stalls"),
-            batches: num("batches"),
-            router_parks: num("router_parks"),
-            worker_parks: num("worker_parks"),
-            ring_depth_hwm: ring
-                .and_then(|r| r.get("depth_hwm"))
-                .and_then(Json::as_arr)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_num)
-                        .map(|n| n as u64)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            ..DoctorCounters::default()
         }
     }
 
@@ -249,12 +231,12 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
     let depth_min = c.ring_depth_hwm.iter().copied().min().unwrap_or(0);
 
     // Playbook row 2: stalls growing, router_parks growing — workers
-    // can't drain their rings.
+    // can't drain their queues.
     if c.stalls > 0 && c.router_parks > 0 {
         findings.push(Finding {
             id: "model_bound",
             severity: "warn",
-            finding: "workers can't drain their rings — the model is the bottleneck".into(),
+            finding: "workers can't drain their queues — the model is the bottleneck".into(),
             evidence: ev(&[("stalls", c.stalls), ("router_parks", c.router_parks)]),
             suggestion:
                 "more threads (until ≈ shards), or accept: throughput is already model-bound"
@@ -267,7 +249,8 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
         findings.push(Finding {
             id: "router_bound",
             severity: "warn",
-            finding: "router-bound: workers starve (parks exceed batches, rings never fill)".into(),
+            finding: "router-bound: workers starve (parks exceed batches, queues never fill)"
+                .into(),
             evidence: ev(&[
                 ("worker_parks", c.worker_parks),
                 ("batches", c.batches),
@@ -288,7 +271,7 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
         findings.push(Finding {
             id: "queue_saturated",
             severity: "warn",
-            finding: "ring high-water mark pinned at the credit limit with router stalls".into(),
+            finding: "queue high-water mark pinned at the credit limit with router stalls".into(),
             evidence: ev(&[
                 ("depth_hwm_max", depth_max),
                 ("queue_depth", c.queue_depth_slots.unwrap_or(depth_max)),
@@ -410,8 +393,8 @@ const ARTIFACT_SCHEMAS: &[(&str, &[&str])] = &[
         &["requests", "latency_ns", "phases", "arrival"],
     ),
     (
-        "krr-bench-pipeline-v2",
-        &["results", "gate", "ring_t8", "keys_hashed"],
+        "krr-bench-pipeline-v3",
+        &["results", "gate", "host_cores", "keys_hashed"],
     ),
     (
         "krr-bench-obs-v1",
@@ -586,6 +569,35 @@ mod tests {
         assert_eq!(c.shard_accesses, vec![7, 8]);
         assert_eq!(c.drift_events, 1);
         assert_eq!(c.mae_ppm, 250);
+    }
+
+    #[test]
+    fn counters_read_back_what_the_metrics_renderer_writes() {
+        use crate::metrics::{MetricsRegistry, Scope};
+        let reg = MetricsRegistry::new();
+        reg.init_slots(Scope::Shard, 3);
+        reg.init_slots(Scope::Worker, 2);
+        reg.pipeline_stalls.add(3);
+        reg.pipeline_batches.add(40);
+        reg.pipeline_router_parks.add(5);
+        reg.pipeline_worker_parks.add(7);
+        reg.pipeline_ring_hwm.record(0, 2);
+        reg.pipeline_ring_hwm.record(1, 4);
+        for (s, n) in [11, 12, 13].into_iter().enumerate() {
+            reg.shard_accesses.record(s, n);
+        }
+        reg.watchdog_drift_events.add(6);
+        reg.watchdog_mae_ppm.set(12_300);
+        let doc = parse(&reg.snapshot().to_json()).unwrap();
+        let c = DoctorCounters::from_metrics_json(&doc);
+        assert_eq!(c.stalls, 3);
+        assert_eq!(c.batches, 40);
+        assert_eq!(c.router_parks, 5);
+        assert_eq!(c.worker_parks, 7);
+        assert_eq!(c.ring_depth_hwm, vec![2, 4]);
+        assert_eq!(c.shard_accesses, vec![11, 12, 13]);
+        assert_eq!(c.drift_events, 6);
+        assert_eq!(c.mae_ppm, 12_300);
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl FleetArena {
         if self.models.is_empty() {
             return;
         }
-        let cfg = Self::pipeline_config(threads, self.models.len());
+        let cfg = Self::pipeline_config(self.models.len());
         let models = std::mem::take(&mut self.models);
         let index = &self.index;
         self.models = pipeline::run_routed(
@@ -277,8 +277,8 @@ impl FleetArena {
     /// much smaller batches than a handful of always-hot shards, or a
     /// skewed tenant mix leaves most references stranded in half-empty
     /// buffers until the end-of-stream flush.
-    fn pipeline_config(threads: usize, n_slots: usize) -> PipelineConfig {
-        let base = PipelineConfig::for_threads(threads);
+    fn pipeline_config(n_slots: usize) -> PipelineConfig {
+        let base = PipelineConfig::default();
         PipelineConfig {
             batch_size: base.batch_size.min(512.max(65_536 / n_slots.max(1))),
             queue_depth: base.queue_depth.max(8),

@@ -43,7 +43,6 @@
 //! * [`fleet`] — multi-tenant arena: thousands of per-tenant models in one
 //!   process, with per-tenant metrics rows and MRC exposition.
 //! * [`pipeline`] — streaming route-once batched router/worker pipeline.
-//! * [`ring`] — the lock-free SPSC ring transport under the pipeline.
 //! * [`metrics`] — lock-free counters/histograms observing the pipeline.
 //! * [`obs`] — flight-recorder span tracing (Chrome trace export) and the
 //!   windowed stats timeline.
@@ -72,6 +71,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![deny(unsafe_code)]
 
 pub mod checkpoint;
 pub mod doctor;
@@ -80,6 +80,7 @@ pub mod fleet;
 pub mod footprint;
 pub mod forensics;
 pub mod hashing;
+#[allow(unsafe_code)] // `GlobalAlloc` is an unsafe trait
 pub mod heap;
 pub mod histogram;
 pub mod json;
@@ -92,7 +93,6 @@ pub mod persist;
 pub mod pipeline;
 pub mod prob;
 pub mod profiler;
-pub mod ring;
 pub mod rng;
 pub mod sampling;
 pub mod sharded;

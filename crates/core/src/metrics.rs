@@ -489,7 +489,7 @@ pub enum Merge {
 pub enum Scope {
     /// One slot per shard.
     Shard,
-    /// One slot per pipeline worker (one router→worker ring each).
+    /// One slot per pipeline worker (one batch queue each).
     Worker,
 }
 
@@ -953,17 +953,17 @@ catalog! {
     pipeline_worker_busy_ns: Counter = 16, "pipeline.worker_busy_ns", info "worker_busy_ns", om "pipeline_worker_busy_ns", unit "ns";
     /// Batches in flight for each shard after a router send, high-water mark.
     pipeline_queue_hwm: Slots(Shard, Max) = 17, "pipeline.queue_depth_hwm", info "queue_depth_hwm", om "shard_queue_depth_hwm";
-    /// Completed slot-buffer cycles summed over the router→worker rings
-    /// (pushes / capacity per ring).
+    /// Completed queue cycles summed over the router→worker batch queues
+    /// (sends / capacity per queue).
     pipeline_ring_wraps: Counter = 35, "pipeline.ring.wraps", info "ring_wraps", om "pipeline_ring_wraps";
-    /// Times the router exhausted its spin budget and parked on a full
-    /// worker ring (sustained back-pressure; near zero when healthy).
+    /// Router sends that blocked on a full worker queue (equals
+    /// `pipeline.stalls`; near zero when healthy).
     pipeline_router_parks: Counter = 33, "pipeline.ring.router_parks", info "ring_router_parks", om "pipeline_router_parks";
-    /// Times a worker parked on an empty batch ring (the router could not
-    /// keep it fed).
+    /// Times a worker blocked on an empty batch queue (the router could
+    /// not keep it fed).
     pipeline_worker_parks: Counter = 34, "pipeline.ring.worker_parks", info "ring_worker_parks", om "pipeline_worker_parks";
-    /// Deepest occupancy each worker's batch ring reached, recorded when a
-    /// pipeline run finishes.
+    /// Deepest occupancy each worker's batch queue reached, recorded when
+    /// a pipeline run finishes.
     pipeline_ring_hwm: Slots(Worker, Max) = 36, "pipeline.ring.depth_hwm", info "ring_depth_hwm", om "ring_depth_hwm";
     /// Shadow-vs-KRR comparisons performed by the accuracy watchdog.
     watchdog_checks: Counter = 18, "watchdog.checks", info "checks", om "watchdog_checks";

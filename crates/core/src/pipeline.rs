@@ -1,5 +1,5 @@
-//! Streaming, route-once, batched profiling pipeline over lock-free SPSC
-//! rings.
+//! Streaming, route-once, batched profiling pipeline over bounded
+//! channels.
 //!
 //! The naive way to parallelize sharded profiling — every worker scans the
 //! whole trace and keeps its shards' keys — does `T·N` routing work for `T`
@@ -7,11 +7,11 @@
 //! memory. This module replaces it with a router/worker topology:
 //!
 //! ```text
-//!             ┌──────────┐   SPSC batch rings   ┌──────────┐
+//!             ┌──────────┐  bounded batch queues ┌──────────┐
 //!  refs ────► │  router  │ ══ Batch(s=0,3) ════►│ worker 0 │ shards {0,3}
 //!  (any       │ hash 8,  │ ══ Batch(s=1,4) ════►│ worker 1 │ shards {1,4}
 //!  iterator)  │ route,   │ ══ Batch(s=2,5) ════►│ worker 2 │ shards {2,5}
-//!             │ admit,   │ ◄═ SPSC freelist ════╡ (apply   │
+//!             │ admit,   │ ◄═ freelist ═════════╡ (apply   │
 //!             │ batch    │    (recycled Vecs)   │  sampled │
 //!             └────┬─────┘                      │  refs)   │
 //!                  ▼ rejected: counted per      └────┬─────┘
@@ -39,20 +39,24 @@
 //!   counters — so counters advance with every batch, and match the
 //!   sequential path exactly when the call returns.
 //! * **Batching.** Admitted references are accumulated into per-shard
-//!   buffers of [`PipelineConfig::batch_size`] entries (default ~4K),
+//!   buffers of [`PipelineConfig::batch_size`] entries (default 4096),
 //!   amortizing transport synchronization over thousands of references —
 //!   the lever Inoue's multi-step LRU exploits for batched cache
 //!   replacement. Workers only ever see sampled references and apply them
 //!   in order without a second admission test.
-//! * **Lock-free bounded transport + recycling.** Each worker is fed by
-//!   its own single-producer/single-consumer ring ([`crate::ring`]) of
-//!   [`PipelineConfig::queue_depth`] batch slots (rounded up to a power of
-//!   two): pushes and pops are one store plus a usually-core-local load,
-//!   no mutex, no syscall. A full ring stalls the router (spin, then park
-//!   — recorded in metrics) instead of ballooning memory. Drained buffers
-//!   return over a per-worker SPSC freelist ring; both freelist ends use
-//!   only the non-blocking operations, so recycling can never block the
-//!   router — at worst a buffer is dropped and reallocated.
+//! * **Bounded transport + recycling.** Each worker is fed by its own
+//!   [`sync_channel`] of [`PipelineConfig::queue_depth`] batches. A full
+//!   queue blocks the router (counted as a stall) instead of ballooning
+//!   memory. Drained buffers return over a per-worker bounded freelist
+//!   that the worker only `try_send`s to and the router only `try_recv`s
+//!   from, so recycling never blocks either side — at worst a buffer is
+//!   dropped and reallocated. Because a batch carries thousands of
+//!   references, a pass sends only a few hundred batches, so the channel's
+//!   per-send cost does not show per reference (docs/PERFORMANCE.md
+//!   measures it against the lock-free ring it replaced).
+//! * **Failure.** A worker that panics drops its queue's receiver; the
+//!   router's next send to it fails, the router stops routing, closes the
+//!   other queues, and re-raises the worker's panic from the call.
 //! * **Streaming.** The input is any `Iterator<Item = (u64, u32)>`; traces
 //!   never need to be materialized as a slice, so multi-GB files profile in
 //!   constant memory.
@@ -60,10 +64,10 @@
 //! # Invariant: bit-identical MRCs at any thread count
 //!
 //! Shard `s` is owned by exactly worker `s % threads`, the router emits a
-//! shard's batches in trace order, and the owning worker drains its ring in
-//! FIFO order — so every shard model observes exactly the subsequence it
-//! would see on the sequential path, in the same order, and consumes its
-//! RNG stream identically. Admission drops only references the shard's
+//! shard's batches in trace order, and the owning worker drains its queue
+//! in FIFO order — so every shard model observes exactly the subsequence
+//! it would see on the sequential path, in the same order, and consumes
+//! its RNG stream identically. Admission drops only references the shard's
 //! own filter would reject, and batching never reorders admitted
 //! references.
 //! Results are therefore bit-identical to [`crate::ShardedKrr::access`]
@@ -71,12 +75,9 @@
 //! histogram bins, the same MRC bytes. Enforced by the `sharded`,
 //! `pipeline`, and `fleet` suites at 1/2/4/8/16 threads and by the
 //! `benches/pipeline.rs` golden comparison.
-//!
-//! The ring transport's own safety argument (Acquire/Release publication,
-//! single-writer rule) lives in [`crate::ring`]'s module docs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,7 +86,6 @@ use crate::metrics::{MetricsRegistry, Scope};
 use crate::model::KrrModel;
 use crate::obs::{FlightRecorder, Phase};
 use crate::profiler::ProfPhase;
-use crate::ring::{ring, Consumer, Producer};
 use crate::sampling::SpatialFilter;
 use crate::sharded::shard_of_hash;
 
@@ -97,11 +97,10 @@ pub struct PipelineConfig {
     /// keys and grow resident buffer memory (`shards × batch_size × 24 B`
     /// plus whatever is in flight).
     pub batch_size: usize,
-    /// Bound of each worker's batch ring, in batches (default 4; rounded
-    /// up to a power of two, minimum 2, by the ring allocator). When a
-    /// ring is full the router spins then parks — back-pressure instead of
-    /// unbounded buffering; each such event is recorded as a pipeline
-    /// stall.
+    /// Bound of each worker's batch queue, in batches (default 4, minimum
+    /// 1). When a queue is full the router blocks until the worker takes a
+    /// batch — back-pressure instead of unbounded buffering; each such
+    /// event is recorded as a pipeline stall.
     pub queue_depth: usize,
 }
 
@@ -115,29 +114,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Tuning matched to the worker count.
-    ///
-    /// The defaults (4096 × 4) are sized for small worker pools. At 8+
-    /// workers the single router becomes the bottleneck: with only 4
-    /// batches of ring credit per worker, the fan-out drains faster than
-    /// one thread can refill it, so the router spends its time stalled
-    /// (visible as `pipeline.stalls`) and throughput flatlines. Doubling
-    /// the batch (halving ring hand-offs per reference) and quadrupling
-    /// the ring bound (absorbing worker speed variance) keeps the router
-    /// ahead; memory cost is still only `shards × 8192 × 24 B` of
-    /// buffers. See `docs/PERFORMANCE.md` for the full knob guide.
-    #[must_use]
-    pub fn for_threads(threads: usize) -> Self {
-        if threads >= 8 {
-            Self {
-                batch_size: 8192,
-                queue_depth: 16,
-            }
-        } else {
-            Self::default()
-        }
-    }
-
     /// Resident bytes of the router's per-shard accumulation buffers for
     /// `n_shards` shards: one `(key, size, hash)` entry is 24 bytes and
     /// every shard keeps one `batch_size` buffer. In-flight batches (up to
@@ -320,7 +296,7 @@ where
     let n_shards = models.len();
     let threads = threads.clamp(1, n_shards);
     let batch_size = cfg.batch_size.max(1);
-    let ring_slots = cfg.queue_depth.max(1);
+    let capacity = cfg.queue_depth.max(1);
     if let Some(reg) = metrics {
         reg.footprint_pipeline_bytes
             .set(cfg.buffer_bytes(n_shards) as u64);
@@ -338,45 +314,47 @@ where
     // Batches in flight per shard, for the queue-depth high-water metric.
     let depth: Vec<AtomicU64> = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
     let depth = &depth;
+    // Batches each worker has taken off its queue, for the per-worker
+    // queue high-water mark the router records.
+    let taken: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
+    let taken = &taken;
 
-    // Per worker: a batch ring (router is producer) and a freelist ring
-    // carrying drained buffers back (worker is producer). The freelist is
-    // sized 2× the batch ring so a worker can return every in-flight
-    // buffer plus a margin without dropping any.
-    let mut batch_txs: Vec<Producer<Batch>> = Vec::with_capacity(threads);
-    let mut batch_rxs: Vec<Option<Consumer<Batch>>> = Vec::with_capacity(threads);
-    let mut free_txs: Vec<Option<Producer<Vec<RoutedRef>>>> = Vec::with_capacity(threads);
-    let mut free_rxs: Vec<Consumer<Vec<RoutedRef>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = ring::<Batch>(ring_slots);
-        batch_txs.push(tx);
-        batch_rxs.push(Some(rx));
-        let (ftx, frx) = ring::<Vec<RoutedRef>>(ring_slots * 2);
-        free_txs.push(Some(ftx));
-        free_rxs.push(frx);
-    }
-
-    let mut regrouped: Vec<Option<Vec<KrrModel>>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
+    let groups = std::thread::scope(|scope| {
+        // Per worker: a batch queue (router → worker) and a freelist
+        // carrying drained buffers back (worker → router). The freelist
+        // holds 2× the batch queue so a worker can return every in-flight
+        // buffer plus a margin without dropping any.
+        let mut batch_txs: Vec<SyncSender<Batch>> = Vec::with_capacity(threads);
+        let mut free_rxs: Vec<Receiver<Vec<RoutedRef>>> = Vec::with_capacity(threads);
         let handles: Vec<_> = groups
             .into_iter()
-            .zip(batch_rxs.iter_mut())
-            .zip(free_txs.iter_mut())
             .enumerate()
-            .map(|(w, ((mut group, rx), ftx))| {
-                let mut rx = rx.take().expect("consumer moved once");
-                let mut ftx = ftx.take().expect("freelist producer moved once");
+            .map(|(w, mut group)| {
+                let (tx, rx) = sync_channel::<Batch>(capacity);
+                let (ftx, frx) = sync_channel::<Vec<RoutedRef>>(2 * capacity);
+                batch_txs.push(tx);
+                free_rxs.push(frx);
                 let metrics = metrics.cloned();
                 let rec = recorder.map(|r| r.register(&format!("worker-{w}")));
                 scope.spawn(move || {
                     let mut busy_ns = 0u64;
+                    let mut parks = 0u64;
                     loop {
                         let w0 = rec.as_ref().map(|r| r.now_ns());
-                        let Some(batch) = rx.pop() else { break };
-                        // Attribute the time spent inside pop() (spin +
-                        // park on an empty ring) to ring-wait: long waits
-                        // become trace spans, short ones only profiler
-                        // samples, so the timeline stays readable.
+                        let batch = match rx.try_recv() {
+                            Ok(b) => b,
+                            Err(TryRecvError::Disconnected) => break,
+                            Err(TryRecvError::Empty) => {
+                                parks += 1;
+                                let Ok(b) = rx.recv() else { break };
+                                b
+                            }
+                        };
+                        taken[w].fetch_add(1, Ordering::Relaxed);
+                        // Attribute the time spent waiting for the batch to
+                        // ring-wait: long waits become trace spans, short
+                        // ones only profiler samples, so the timeline stays
+                        // readable.
                         if let (Some(r), Some(w0)) = (&rec, w0) {
                             let wait = r.now_ns().saturating_sub(w0);
                             if wait >= 1_000 {
@@ -406,10 +384,11 @@ where
                         buf.clear();
                         // Non-blocking recycle: a full freelist just drops
                         // the buffer (the router allocates a fresh one).
-                        let _ = ftx.try_push(buf);
+                        let _ = ftx.try_send(buf);
                     }
                     if let Some(reg) = &metrics {
                         reg.pipeline_worker_busy_ns.add(busy_ns);
+                        reg.pipeline_worker_parks.add(parks);
                     }
                     group
                 })
@@ -429,9 +408,12 @@ where
         let mut keys_hashed = 0u64;
         let mut batches = 0u64;
         let mut stalls = 0u64;
+        let mut sent = vec![0u64; threads];
+        let mut queue_hwm = vec![0u64; threads];
         // Self-profiler hash attribution: the stretch between dispatches
         // is hashing, admission and buffering, which no span covers.
         let mut hash_mark = router_rec.as_ref().map(|r| r.now_ns());
+        // Sends one batch; false when the worker is gone (it panicked).
         let mut dispatch = |s: usize, refs: Vec<RoutedRef>, rejected: u64| {
             keys_hashed += refs.len() as u64 + rejected;
             let d = depth[s].fetch_add(1, Ordering::Relaxed) + 1;
@@ -443,269 +425,83 @@ where
             if let (Some(r), Some(m), Some(b0)) = (&router_rec, hash_mark, b0) {
                 r.profile(ProfPhase::Hash, b0.saturating_sub(m));
             }
-            let tx = &mut batch_txs[s % threads];
-            if let Err(b) = tx.try_push(Batch {
+            let w = s % threads;
+            // Queue occupancy after this send, counted against the batches
+            // the worker had taken before it: an upper bound, so capped at
+            // the queue's capacity.
+            sent[w] += 1;
+            let queued = sent[w] - taken[w].load(Ordering::Relaxed);
+            queue_hwm[w] = queue_hwm[w].max(queued.min(capacity as u64));
+            let batch = Batch {
                 shard: s,
                 refs,
                 rejected,
-            }) {
-                // Ring full even after refreshing the cached head: the
-                // worker is behind. Spin/park until it drains one.
-                stalls += 1;
-                let s0 = router_rec.as_ref().map(|r| r.now_ns());
-                tx.push(b);
-                if let (Some(r), Some(s0)) = (&router_rec, s0) {
-                    r.record_since(Phase::RouterStall, s0, s as u64);
+            };
+            let delivered = match batch_txs[w].try_send(batch) {
+                Ok(()) => true,
+                Err(TrySendError::Full(b)) => {
+                    // The worker is behind: block until it takes a batch.
+                    stalls += 1;
+                    let s0 = router_rec.as_ref().map(|r| r.now_ns());
+                    let delivered = batch_txs[w].send(b).is_ok();
+                    if let (Some(r), Some(s0)) = (&router_rec, s0) {
+                        r.record_since(Phase::RouterStall, s0, s as u64);
+                    }
+                    delivered
                 }
-            }
+                Err(TrySendError::Disconnected(_)) => false,
+            };
             if let (Some(r), Some(b0)) = (&router_rec, b0) {
                 r.record_since(Phase::RouterBatch, b0, s as u64);
                 hash_mark = Some(r.now_ns());
             }
+            delivered
         };
-        while let Some((s, key, size, h)) = next(&mut rejected) {
+        let mut live = true;
+        while live {
+            let Some((s, key, size, h)) = next(&mut rejected) else {
+                break;
+            };
             buffers[s].push((key, size, h));
             if buffers[s].len() >= batch_size {
                 let fresh = free_rxs[s % threads]
-                    .try_pop()
-                    .unwrap_or_else(|| Vec::with_capacity(batch_size));
-                let full = std::mem::replace(&mut buffers[s], fresh);
-                dispatch(s, full, std::mem::take(&mut rejected[s]));
-            }
-        }
-        for (s, (buf, r)) in buffers.into_iter().zip(rejected).enumerate() {
-            if !buf.is_empty() || r > 0 {
-                dispatch(s, buf, r);
-            }
-        }
-        // `dispatch` borrowed the producers; its last call is above, so the
-        // borrow has ended and the rings can close: workers drain the
-        // remaining batches and exit their pop loops.
-        for tx in &mut batch_txs {
-            tx.close();
-        }
-        if let Some(reg) = metrics {
-            reg.pipeline_keys_hashed.add(keys_hashed);
-            reg.pipeline_batches.add(batches);
-            reg.pipeline_stalls.add(stalls);
-            reg.pipeline_router_busy_ns
-                .add(t_router.elapsed().as_nanos() as u64);
-        }
-
-        for (w, h) in handles.into_iter().enumerate() {
-            regrouped[w] = Some(h.join().expect("pipeline worker panicked"));
-        }
-    });
-
-    // Producers outlive the workers, so ring statistics are read after the
-    // join — complete, race-free, and free on the hot path.
-    if let Some(reg) = metrics {
-        for (w, tx) in batch_txs.iter().enumerate() {
-            reg.pipeline_ring_hwm.record(w, tx.depth_hwm());
-            reg.pipeline_ring_wraps.add(tx.wraps());
-            reg.pipeline_router_parks.add(tx.producer_parks());
-            reg.pipeline_worker_parks.add(tx.consumer_parks());
-        }
-    }
-
-    // Undo the round-robin grouping: worker w's slot i is shard w + i·T.
-    let mut out: Vec<Option<KrrModel>> = (0..n_shards).map(|_| None).collect();
-    for (w, group) in regrouped.into_iter().enumerate() {
-        for (i, m) in group.expect("worker joined").into_iter().enumerate() {
-            out[w + i * threads] = Some(m);
-        }
-    }
-    out.into_iter()
-        .map(|m| m.expect("every shard returned"))
-        .collect()
-}
-
-/// [`run`] over the PR 6-era `sync_channel` transport — kept as the live
-/// A/B baseline the ring pipeline is benchmarked against
-/// (`benches/pipeline.rs`) and reachable via
-/// [`crate::ShardedKrr::process_stream_channels`]. Same topology, same
-/// bit-identity invariant; only the transport (bounded channels + an
-/// unbounded recycle channel), the per-reference worker loop, and where
-/// admission happens (each worker's model filters every reference it is
-/// sent) differ.
-pub(crate) fn run_channels<I>(
-    models: Vec<KrrModel>,
-    refs: I,
-    threads: usize,
-    cfg: &PipelineConfig,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    recorder: Option<&Arc<FlightRecorder>>,
-) -> Vec<KrrModel>
-where
-    I: Iterator<Item = (u64, u32)>,
-{
-    let n_shards = models.len();
-    run_routed_channels(
-        models,
-        refs.map(|(key, size)| {
-            let h = hash_key(key);
-            (shard_of_hash(h, n_shards), key, size, h)
-        }),
-        threads,
-        cfg,
-        metrics,
-        recorder,
-    )
-}
-
-/// The legacy channel transport behind [`run_channels`]; see there.
-pub(crate) fn run_routed_channels<I>(
-    models: Vec<KrrModel>,
-    items: I,
-    threads: usize,
-    cfg: &PipelineConfig,
-    metrics: Option<&Arc<MetricsRegistry>>,
-    recorder: Option<&Arc<FlightRecorder>>,
-) -> Vec<KrrModel>
-where
-    I: Iterator<Item = (usize, u64, u32, u64)>,
-{
-    let n_shards = models.len();
-    let threads = threads.clamp(1, n_shards);
-    let batch_size = cfg.batch_size.max(1);
-    let queue_depth = cfg.queue_depth.max(1);
-    if let Some(reg) = metrics {
-        reg.footprint_pipeline_bytes
-            .set(cfg.buffer_bytes(n_shards) as u64);
-    }
-
-    let mut groups: Vec<Vec<KrrModel>> = (0..threads).map(|_| Vec::new()).collect();
-    for (s, m) in models.into_iter().enumerate() {
-        groups[s % threads].push(m);
-    }
-
-    let depth: Vec<AtomicU64> = (0..n_shards).map(|_| AtomicU64::new(0)).collect();
-    let depth = &depth;
-
-    let mut senders: Vec<SyncSender<Batch>> = Vec::with_capacity(threads);
-    let mut receivers: Vec<Option<Receiver<Batch>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (tx, rx) = sync_channel::<Batch>(queue_depth);
-        senders.push(tx);
-        receivers.push(Some(rx));
-    }
-    let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<RoutedRef>>();
-
-    let mut regrouped: Vec<Option<Vec<KrrModel>>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .zip(receivers.iter_mut())
-            .enumerate()
-            .map(|(w, (mut group, rx))| {
-                let rx = rx.take().expect("receiver consumed once");
-                let recycle_tx = recycle_tx.clone();
-                let metrics = metrics.cloned();
-                let rec = recorder.map(|r| r.register(&format!("worker-{w}")));
-                scope.spawn(move || {
-                    let mut busy_ns = 0u64;
-                    for batch in rx {
-                        let t0 = Instant::now();
-                        let r0 = rec.as_ref().map(|r| r.now_ns());
-                        let model = &mut group[batch.shard / threads];
-                        // Per-reference drain: the PR 6 worker loop, kept
-                        // verbatim so the A/B isolates transport + batching.
-                        for &(key, size, h) in &batch.refs {
-                            model.access_hashed(key, size, h);
-                        }
-                        if let (Some(r), Some(r0)) = (&rec, r0) {
-                            r.record_since(Phase::WorkerBatch, r0, batch.refs.len() as u64);
-                        }
-                        depth[batch.shard].fetch_sub(1, Ordering::Relaxed);
-                        if let Some(reg) = &metrics {
-                            reg.shard_accesses
-                                .record(batch.shard, batch.refs.len() as u64);
-                            reg.shard_resident
-                                .record(batch.shard, model.stats().distinct);
-                            reg.shard_depth_hwm.record(batch.shard, model.deepest_hit());
-                        }
-                        busy_ns += t0.elapsed().as_nanos() as u64;
-                        let mut buf = batch.refs;
-                        buf.clear();
-                        let _ = recycle_tx.send(buf); // router may be gone
-                    }
-                    if let Some(reg) = &metrics {
-                        reg.pipeline_worker_busy_ns.add(busy_ns);
-                    }
-                    group
-                })
-            })
-            .collect();
-
-        let t_router = Instant::now();
-        let router_rec = recorder.map(|r| r.register("router"));
-        let mut buffers: Vec<Vec<RoutedRef>> = (0..n_shards).map(|_| Vec::new()).collect();
-        let mut keys_hashed = 0u64;
-        let mut batches = 0u64;
-        let mut stalls = 0u64;
-        let mut dispatch = |s: usize, refs: Vec<RoutedRef>| {
-            let d = depth[s].fetch_add(1, Ordering::Relaxed) + 1;
-            if let Some(reg) = metrics {
-                reg.pipeline_queue_hwm.record(s, d);
-            }
-            batches += 1;
-            let b0 = router_rec.as_ref().map(|r| r.now_ns());
-            match senders[s % threads].try_send(Batch {
-                shard: s,
-                refs,
-                rejected: 0,
-            }) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
-                    stalls += 1;
-                    let s0 = router_rec.as_ref().map(|r| r.now_ns());
-                    senders[s % threads].send(b).expect("worker disappeared");
-                    if let (Some(r), Some(s0)) = (&router_rec, s0) {
-                        r.record_since(Phase::RouterStall, s0, s as u64);
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    // A worker panicked; the scope will propagate it.
-                    panic!("pipeline worker disconnected");
-                }
-            }
-            if let (Some(r), Some(b0)) = (&router_rec, b0) {
-                r.record_since(Phase::RouterBatch, b0, s as u64);
-            }
-        };
-        for (s, key, size, h) in items {
-            keys_hashed += 1;
-            buffers[s].push((key, size, h));
-            if buffers[s].len() >= batch_size {
-                let fresh = recycle_rx
                     .try_recv()
                     .unwrap_or_else(|_| Vec::with_capacity(batch_size));
                 let full = std::mem::replace(&mut buffers[s], fresh);
-                dispatch(s, full);
+                live = dispatch(s, full, std::mem::take(&mut rejected[s]));
             }
         }
-        for (s, buf) in buffers.into_iter().enumerate() {
-            if !buf.is_empty() {
-                dispatch(s, buf);
+        for (s, (buf, r)) in buffers.into_iter().zip(rejected).enumerate() {
+            if live && (!buf.is_empty() || r > 0) {
+                live = dispatch(s, buf, r);
             }
         }
-        drop(senders);
+        // Closing the queues lets the workers drain what is left and exit.
+        drop(batch_txs);
         if let Some(reg) = metrics {
             reg.pipeline_keys_hashed.add(keys_hashed);
             reg.pipeline_batches.add(batches);
             reg.pipeline_stalls.add(stalls);
+            reg.pipeline_router_parks.add(stalls);
             reg.pipeline_router_busy_ns
                 .add(t_router.elapsed().as_nanos() as u64);
+            for (w, (&n, &hwm)) in sent.iter().zip(&queue_hwm).enumerate() {
+                reg.pipeline_ring_wraps.add(n / capacity as u64);
+                reg.pipeline_ring_hwm.record(w, hwm);
+            }
         }
 
-        for (w, h) in handles.into_iter().enumerate() {
-            regrouped[w] = Some(h.join().expect("pipeline worker panicked"));
-        }
+        // A worker's panic is re-raised here, after the router stopped.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Vec<_>>()
     });
 
+    // Undo the round-robin grouping: worker w's slot i is shard w + i·T.
     let mut out: Vec<Option<KrrModel>> = (0..n_shards).map(|_| None).collect();
-    for (w, group) in regrouped.into_iter().enumerate() {
-        for (i, m) in group.expect("worker joined").into_iter().enumerate() {
+    for (w, group) in groups.into_iter().enumerate() {
+        for (i, m) in group.into_iter().enumerate() {
             out[w + i * threads] = Some(m);
         }
     }
@@ -739,7 +535,7 @@ mod tests {
             seq.access(k, s);
         }
         // 16-entry batches over 60K refs exercise buffer recycling and
-        // ring back-pressure heavily (queue_depth 1 -> 2-slot rings).
+        // queue back-pressure heavily (one-batch queues).
         let pcfg = PipelineConfig {
             batch_size: 16,
             queue_depth: 1,
@@ -767,17 +563,26 @@ mod tests {
         assert_eq!(par.mrc().points(), seq.mrc().points());
     }
 
+    // Overflow checks are what make the worker panic here, so the test
+    // needs them on.
+    #[cfg(debug_assertions)]
     #[test]
-    fn ring_and_channel_transports_agree_bit_for_bit() {
-        let refs = refs(40_000, 3_000, 13);
-        let cfg = KrrConfig::new(5.0).sampling(0.5).seed(6);
-        for threads in [1, 3] {
-            let mut rings = ShardedKrr::new(&cfg, 4);
-            rings.process_stream(refs.iter().copied(), threads);
-            let mut chans = ShardedKrr::new(&cfg, 4);
-            chans.process_stream_channels(refs.iter().copied(), threads);
-            assert_eq!(rings.mrc().points(), chans.mrc().points(), "{threads}t");
-            assert_eq!(rings.stats(), chans.stats(), "{threads}t");
-        }
+    fn worker_panic_reaches_the_caller_instead_of_hanging_the_router() {
+        // Worker 0's first batch overflows its model's reference count and
+        // panics while the router keeps feeding a one-batch queue. The
+        // router's next send to it must fail and the panic must come back
+        // out of the call, not leave the router blocked forever.
+        let cfg = KrrConfig::new(4.0).seed(9);
+        let mut models: Vec<KrrModel> = (0..2).map(|_| KrrModel::new(cfg.clone())).collect();
+        models[0].credit_rejected(u64::MAX);
+        let pcfg = PipelineConfig {
+            batch_size: 4,
+            queue_depth: 1,
+        };
+        let refs = refs(20_000, 1_000, 14);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run(models, refs.into_iter(), 2, &pcfg, None, None)
+        }));
+        assert!(out.is_err(), "the worker's panic was swallowed");
     }
 }

@@ -20,10 +20,9 @@
 //! route-once, batched pipeline: a router thread hashes, routes and
 //! admits references — unsampled ones are only counted per shard — and
 //! batches the sampled ones per shard; per-shard workers drain batches
-//! over lock-free SPSC rings ([`crate::ring`]). Total routing work is O(N)
-//! regardless of thread count, and
-//! per-shard RNG seeds plus deterministic per-shard order keep results
-//! bit-identical at any thread count.
+//! from bounded per-worker queues. Total routing work is O(N) regardless
+//! of thread count, and per-shard RNG seeds plus deterministic per-shard
+//! order keep results bit-identical at any thread count.
 
 use std::sync::Arc;
 
@@ -178,14 +177,11 @@ impl ShardedKrr {
     /// sequential [`ShardedKrr::access`] loop at any thread count. The
     /// router applies spatial sampling, so workers only see sampled
     /// references.
-    /// Pipeline tuning scales with the worker count
-    /// ([`PipelineConfig::for_threads`]): wide pools get bigger batches
-    /// and deeper queues so the single router keeps up.
     pub fn process_stream<I>(&mut self, refs: I, threads: usize)
     where
         I: Iterator<Item = (u64, u32)>,
     {
-        self.process_stream_with(refs, threads, &PipelineConfig::for_threads(threads));
+        self.process_stream_with(refs, threads, &PipelineConfig::default());
     }
 
     /// [`ShardedKrr::process_stream`] with explicit pipeline tuning.
@@ -203,87 +199,6 @@ impl ShardedKrr {
             self.recorder.as_ref(),
         );
         self.publish_footprint();
-    }
-
-    /// [`ShardedKrr::process_stream`] over the PR 6-era transport: bounded
-    /// `sync_channel`s instead of lock-free SPSC rings, scalar hashing
-    /// instead of 8-wide, and every reference sent to a worker that filters
-    /// and applies it one at a time, instead of admission at the router.
-    /// Kept as the live A/B baseline for
-    /// `benches/pipeline.rs`; results are bit-identical to
-    /// [`ShardedKrr::process_stream`], just slower.
-    pub fn process_stream_channels<I>(&mut self, refs: I, threads: usize)
-    where
-        I: Iterator<Item = (u64, u32)>,
-    {
-        let shards = std::mem::take(&mut self.shards);
-        self.shards = pipeline::run_channels(
-            shards,
-            refs,
-            threads,
-            &PipelineConfig::for_threads(threads),
-            self.metrics.as_ref(),
-            self.recorder.as_ref(),
-        );
-        self.publish_footprint();
-    }
-
-    /// The pre-pipeline parallel path, kept as a benchmark baseline: every
-    /// worker re-scans the **full** trace, re-hashes every key (T×N total
-    /// hash work — watch `pipeline.keys_hashed`), and linear-scans its
-    /// shard group for the owner. Produces the same bit-identical result,
-    /// just slower; new code should use [`ShardedKrr::process_stream`].
-    pub fn process_parallel_rescan(&mut self, refs: &[(u64, u32)], threads: usize) {
-        let n_shards = self.shards.len();
-        let threads = threads.clamp(1, n_shards);
-        let shards = std::mem::take(&mut self.shards);
-        // Group (shard index, model) by worker thread.
-        let mut groups: Vec<Vec<(usize, KrrModel)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, m) in shards.into_iter().enumerate() {
-            groups[i % threads].push((i, m));
-        }
-        let metrics = self.metrics.clone();
-        let done: Vec<Vec<(usize, KrrModel)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|mut group| {
-                    let metrics = metrics.clone();
-                    scope.spawn(move || {
-                        for &(key, size) in refs {
-                            let h = hash_key(key);
-                            let s = shard_of_hash(h, n_shards);
-                            for (i, m) in &mut group {
-                                if *i == s {
-                                    if let Some(reg) = &metrics {
-                                        reg.shard_accesses.record(s, 1);
-                                    }
-                                    m.access_hashed(key, size, h);
-                                    break;
-                                }
-                            }
-                        }
-                        if let Some(reg) = &metrics {
-                            reg.pipeline_keys_hashed.add(refs.len() as u64);
-                        }
-                        group
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let mut shards: Vec<Option<KrrModel>> = (0..n_shards).map(|_| None).collect();
-        for group in done {
-            for (i, m) in group {
-                shards[i] = Some(m);
-            }
-        }
-        self.shards = shards
-            .into_iter()
-            .map(|m| m.expect("shard returned"))
-            .collect();
     }
 
     /// Aggregate counters over all shards.
@@ -493,14 +408,6 @@ mod tests {
             let mut par = ShardedKrr::new(&cfg, 6);
             par.process_parallel(&refs, threads);
             assert_eq!(par.mrc().points(), seq.mrc().points(), "threads={threads}");
-
-            let mut rescan = ShardedKrr::new(&cfg, 6);
-            rescan.process_parallel_rescan(&refs, threads);
-            assert_eq!(
-                rescan.mrc().points(),
-                seq.mrc().points(),
-                "rescan threads={threads}"
-            );
         }
     }
 

@@ -111,15 +111,14 @@ USAGE:
             p99 delta and a krr doctor diagnosis of the profiled side;
             --json writes the krr-load-v1 report)
   krr doctor (--live HOST:PORT | --offline [DIR]
-              | [--metrics-in FILE] [--exemplars FILE] [--bench FILE])
+              | --metrics-in FILE [--exemplars FILE])
              [--json FILE]
              (counter-signature diagnosis from docs/PERFORMANCE.md as
               machine-checked rules; --live scrapes a running exposition
               server's /metrics?format=json and /exemplars, --offline
               validates every BENCH_*.json and krr-*-v1 artifact under
-              DIR (default .) against its schema and then diagnoses
-              BENCH_pipeline.json, --metrics-in/--exemplars/--bench read
-              dumped artifacts; --json writes the krr-doctor-v1 report;
+              DIR (default .) against its schema, --metrics-in/--exemplars
+              read dumped artifacts; --json writes the krr-doctor-v1 report;
               exit status is nonzero when an --offline artifact fails
               schema validation — diagnoses themselves are advisory)
 
@@ -1207,9 +1206,8 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         }
         diagnose(&counters)
     } else if f.flag("offline") {
-        // Offline mode: sweep the artifact directory, hold every
-        // committed krr-*-v1 document to its grow-only schema, then
-        // diagnose the pipeline bench the same way a live scrape would be.
+        // Offline mode: sweep the artifact directory and hold every
+        // committed krr-*-v1 document to its grow-only schema.
         let dir = f.positional.first().map_or(".", String::as_str);
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| format!("{dir}: {e}"))?
@@ -1224,22 +1222,14 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             return Err(format!("{dir}: no BENCH_*.json artifacts to validate"));
         }
         let mut invalid = 0usize;
-        let mut pipeline_doc = None;
         for path in &paths {
             let shown = path.display();
             match std::fs::read_to_string(path)
                 .map_err(|e| e.to_string())
                 .and_then(|text| json::parse(&text))
-                .and_then(|doc| {
-                    let schema = validate_artifact(&doc)?;
-                    Ok((doc, schema))
-                }) {
-                Ok((doc, schema)) => {
-                    println!("valid   {shown} ({schema})");
-                    if schema == "krr-bench-pipeline-v2" {
-                        pipeline_doc = Some(doc);
-                    }
-                }
+                .and_then(|doc| validate_artifact(&doc))
+            {
+                Ok(schema) => println!("valid   {shown} ({schema})"),
                 Err(e) => {
                     println!("INVALID {shown}: {e}");
                     invalid += 1;
@@ -1249,25 +1239,13 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         if invalid > 0 {
             return Err(format!("{invalid} artifact(s) failed schema validation"));
         }
-        let Some(doc) = pipeline_doc else {
-            println!("all artifacts valid; no pipeline bench to diagnose");
-            return Ok(());
-        };
-        diagnose(&DoctorCounters::from_bench_pipeline(&doc))
+        println!("all artifacts valid");
+        return Ok(());
     } else {
-        let mut counters = None;
-        if let Some(path) = f.get("metrics-in") {
-            counters = Some(DoctorCounters::from_metrics_json(&read_json(path)?));
-        }
-        if let Some(path) = f.get("bench") {
-            if counters.is_some() {
-                return Err("--metrics-in and --bench are mutually exclusive".into());
-            }
-            counters = Some(DoctorCounters::from_bench_pipeline(&read_json(path)?));
-        }
-        let Some(mut counters) = counters else {
-            return Err("need --live, --offline, --metrics-in, or --bench".into());
+        let Some(path) = f.get("metrics-in") else {
+            return Err("need --live, --offline, or --metrics-in".into());
         };
+        let mut counters = DoctorCounters::from_metrics_json(&read_json(path)?);
         if let Some(path) = f.get("exemplars") {
             counters.join_exemplars(&read_json(path)?);
         }

@@ -180,13 +180,17 @@ impl Server {
         let accept_thread = std::thread::spawn(move || {
             // Non-blocking accept loop so SHUTDOWN can terminate us.
             listener.set_nonblocking(true).expect("set_nonblocking");
-            let mut workers = Vec::new();
+            let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
             while !accept_stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((conn, _)) => {
                         let store = Arc::clone(&accept_store);
                         let stop = Arc::clone(&accept_stop);
                         let obs = Arc::clone(&accept_obs);
+                        // An exited thread keeps its stack mapped until it
+                        // is joined or detached, so drop finished handles
+                        // rather than holding every one until shutdown.
+                        workers.retain(|h| !h.is_finished());
                         workers.push(std::thread::spawn(move || {
                             let _ = serve_connection(conn, &store, &stop, &obs);
                         }));

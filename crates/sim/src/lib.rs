@@ -17,8 +17,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod arc;
-pub mod cms;
 pub mod dlru;
 pub mod klfu;
 pub mod klru;
@@ -27,10 +25,7 @@ pub mod minisim;
 pub mod mrc_sim;
 pub mod opt;
 pub mod sampled;
-pub mod wtinylfu;
 
-pub use arc::ArcCache;
-pub use cms::{CountMinSketch, TinyLfuScore};
 pub use dlru::DLruCache;
 pub use klfu::KLfuCache;
 pub use klru::KLruCache;
@@ -38,7 +33,6 @@ pub use lru::ExactLru;
 pub use minisim::MiniSim;
 pub use mrc_sim::{even_capacities, miss_ratio, simulate_mrc, working_set, Policy, Unit};
 pub use sampled::{EvictionScore, HyperbolicScore, LruScore, SampledCache};
-pub use wtinylfu::WTinyLfuCache;
 
 use krr_trace::Request;
 

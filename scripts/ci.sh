@@ -66,7 +66,7 @@ grep -q "errors 0" /tmp/krr_flash_crowd.out
 # exits nonzero on any validation failure; its diagnoses are advisory
 # and never gate).
 cargo run --release --offline -q -p krr --bin krr -- doctor --offline . > /tmp/krr_doctor.out
-grep -q "BENCH_pipeline.json (krr-bench-pipeline-v2)" /tmp/krr_doctor.out
+grep -q "BENCH_pipeline.json (krr-bench-pipeline-v3)" /tmp/krr_doctor.out
 grep -q "BENCH_doctor.json (krr-bench-doctor-v1)" /tmp/krr_doctor.out
 
 # Metrics round trip through the CLI: checkpoint (with METR) a run over a
@@ -96,7 +96,9 @@ grep -q '"accesses":50000' "$smoke/sampled-metrics.json"
 rm -rf "$smoke"
 
 # Optional perf tracking: KRR_CI_BENCH=1 refreshes BENCH_pipeline.json
-# (sequential vs rescan vs route-once pipeline throughput), BENCH_obs.json
+# (sequential loop vs route-once pipeline at 1/2/4/8 workers in one run;
+# exits nonzero if any worker count falls below 0.8x the sequential
+# loop), BENCH_obs.json
 # (flight-recorder off vs on; exits nonzero if tracing costs more than its
 # 5% budget), and BENCH_space.json (KRR vs Olken/SHARDS/CounterStacks deep
 # footprint at M=1e6 — exits nonzero unless KRR < Olken — plus the
@@ -108,9 +110,6 @@ rm -rf "$smoke"
 # count, mean resident bytes per tenant at most 12,216) and BENCH_doctor.json (paired forensics on/off RESP A/B:
 # exemplar+profiler p99 cost under a 3% budget, MRC bit-identical).
 if [ "${KRR_CI_BENCH:-0}" = "1" ]; then
-    # Long-running SPSC ring stress (ignored by default): hammers
-    # push/pop/park/close across capacities from both sides.
-    cargo test -q --offline --release -p krr-core ring_stress_long -- --ignored
     cargo bench -q --offline -p krr-bench --bench pipeline
     cargo bench -q --offline -p krr-bench --bench obs
     cargo bench -q --offline -p krr-bench --bench space

@@ -243,14 +243,14 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# HELP krr_merges Histogram merges performed by `ShardedKrr::mrc`.",
     "# HELP krr_pipeline_batches Batches handed to shard workers by the pipeline router.",
     "# HELP krr_pipeline_keys_hashed Keys hashed while routing: the route-once pipeline hashes each reference exactly once, so after a run this equals the reference count.",
-    "# HELP krr_pipeline_ring_wraps Completed slot-buffer cycles summed over the router→worker rings (pushes / capacity per ring).",
+    "# HELP krr_pipeline_ring_wraps Completed queue cycles summed over the router→worker batch queues (sends / capacity per queue).",
     "# HELP krr_pipeline_router_busy_ns Nanoseconds the router thread spent hashing, batching and sending.",
-    "# HELP krr_pipeline_router_parks Times the router exhausted its spin budget and parked on a full worker ring (sustained back-pressure; near zero when healthy).",
+    "# HELP krr_pipeline_router_parks Router sends that blocked on a full worker queue (equals `pipeline.stalls`; near zero when healthy).",
     "# HELP krr_pipeline_stalls Times the router found a worker's ring full and had to block until the worker drained a batch (back-pressure).",
     "# HELP krr_pipeline_worker_busy_ns Nanoseconds workers spent draining batches into shard models, summed.",
-    "# HELP krr_pipeline_worker_parks Times a worker parked on an empty batch ring (the router could not keep it fed).",
+    "# HELP krr_pipeline_worker_parks Times a worker blocked on an empty batch queue (the router could not keep it fed).",
     "# HELP krr_positions_scanned Stack positions examined per update (the updater's work).",
-    "# HELP krr_ring_depth_hwm Deepest occupancy each worker's batch ring reached, recorded when a pipeline run finishes.",
+    "# HELP krr_ring_depth_hwm Deepest occupancy each worker's batch queue reached, recorded when a pipeline run finishes.",
     "# HELP krr_shard_accesses References routed to each shard.",
     "# HELP krr_shard_depth_hwm Deepest 1-based stack position a re-reference has hit on each shard.",
     "# HELP krr_shard_queue_depth_hwm Batches in flight for each shard after a router send, high-water mark.",

@@ -101,18 +101,6 @@ fn stream_slice_and_sequential_agree() {
 }
 
 #[test]
-fn rescan_baseline_agrees_too() {
-    let refs = skewed(5_000, 80_000, 6);
-    let cfg = KrrConfig::new(4.0).seed(6);
-    let seq = sequential(&cfg, 5, &refs);
-    for threads in [1, 2, 5] {
-        let mut old = ShardedKrr::new(&cfg, 5);
-        old.process_parallel_rescan(&refs, threads);
-        assert_eq!(old.mrc().points(), seq.mrc().points(), "threads={threads}");
-    }
-}
-
-#[test]
 fn route_once_hashes_each_key_exactly_once() {
     let refs = skewed(4_000, 40_000, 7);
     let n = refs.len() as u64;
@@ -123,60 +111,6 @@ fn route_once_hashes_each_key_exactly_once() {
     bank.set_metrics(Arc::clone(&reg));
     bank.process_stream(refs.iter().copied(), 4);
     assert_eq!(reg.snapshot().pipeline_keys_hashed, n, "pipeline is N");
-
-    // The legacy rescan path re-hashes the whole trace in every worker:
-    // T×N total — the cost the pipeline removes.
-    let reg_old = Arc::new(MetricsRegistry::new());
-    let mut old = ShardedKrr::new(&cfg, 8);
-    old.set_metrics(Arc::clone(&reg_old));
-    old.process_parallel_rescan(&refs, 4);
-    assert_eq!(
-        reg_old.snapshot().pipeline_keys_hashed,
-        4 * n,
-        "rescan is T×N"
-    );
-}
-
-#[test]
-fn wide_pools_get_scaled_tuning_with_fewer_stalls() {
-    // At 8+ workers the default 4096×4 tuning leaves the lone router
-    // behind the fan-out; `for_threads` widens batches and queue credit.
-    let tuned = PipelineConfig::for_threads(8);
-    let narrow = PipelineConfig::for_threads(4);
-    assert!(tuned.batch_size > narrow.batch_size);
-    assert!(tuned.queue_depth > narrow.queue_depth);
-
-    let refs = skewed(20_000, 400_000, 9);
-    let cfg = KrrConfig::new(5.0).seed(9);
-    let stalls_with = |pcfg: &PipelineConfig| {
-        let reg = Arc::new(MetricsRegistry::new());
-        let mut bank = ShardedKrr::new(&cfg, 8);
-        bank.set_metrics(Arc::clone(&reg));
-        bank.process_stream_with(refs.iter().copied(), 8, pcfg);
-        (reg.snapshot().pipeline_stalls, bank)
-    };
-    // A deliberately starved config stalls the router constantly; the
-    // 8-thread tuning must beat it decisively, not marginally.
-    let (stalls_starved, starved) = stalls_with(&PipelineConfig {
-        batch_size: 64,
-        queue_depth: 1,
-    });
-    let (stalls_tuned, tuned_bank) = stalls_with(&PipelineConfig::for_threads(8));
-    assert!(stalls_starved > 0, "starved config should stall the router");
-    assert!(
-        stalls_tuned * 10 <= stalls_starved,
-        "tuned config still stalling: {stalls_tuned} vs starved {stalls_starved}"
-    );
-    // Tuning changes scheduling only — results stay bit-identical.
-    assert_eq!(tuned_bank.mrc().points(), starved.mrc().points());
-    assert_eq!(tuned_bank.stats(), starved.stats());
-
-    // The default entry point picks up the scaled tuning automatically.
-    let seq = sequential(&cfg, 8, &refs);
-    let mut auto = ShardedKrr::new(&cfg, 8);
-    auto.process_stream(refs.iter().copied(), 8);
-    assert_eq!(auto.mrc().points(), seq.mrc().points());
-    assert_eq!(auto.stats(), seq.stats());
 }
 
 #[test]
@@ -206,12 +140,12 @@ fn pipeline_metrics_flow_to_renderings() {
     assert!(snap.pipeline_queue_hwm.iter().all(|&d| d >= 1));
     assert!(snap.pipeline_router_busy_ns > 0);
     assert!(snap.pipeline_worker_busy_ns > 0);
-    // Ring transport statistics: one depth high-water mark per worker,
-    // and with ~100 batches per worker pushed through 2-slot rings the
-    // positions must have wrapped many times.
+    // Queue statistics: one depth high-water mark per worker, and with
+    // ~100 batches per worker pushed through one-batch queues each queue
+    // must have cycled many times.
     assert_eq!(snap.pipeline_ring_hwm.len(), 2);
     assert!(snap.pipeline_ring_hwm.iter().all(|&d| d >= 1));
-    assert!(snap.pipeline_ring_wraps > 0, "tiny rings must wrap");
+    assert!(snap.pipeline_ring_wraps > 0, "tiny queues must wrap");
     // Per-shard access counters cover the whole trace.
     assert_eq!(snap.shard_accesses.iter().sum::<u64>(), refs.len() as u64);
     let info = snap.render_info();
@@ -228,9 +162,9 @@ fn pipeline_metrics_flow_to_renderings() {
 
 #[test]
 fn park_storm_keeps_ring_stats_consistent_across_thread_counts() {
-    // A deliberately starved tuning (tiny batches, one-slot rings) turns
-    // every run into a park storm: the router blocks on full rings and
-    // the workers nap on empty ones. The post-join ring statistics must
+    // A deliberately starved tuning (tiny batches, one-batch queues) turns
+    // every run into a park storm: the router blocks on full queues and
+    // the workers wait on empty ones. The post-join queue statistics must
     // stay internally consistent at every thread count, and none of the
     // parking may leak into the model's results.
     let refs = skewed(8_000, 120_000, 21);
@@ -247,45 +181,38 @@ fn park_storm_keeps_ring_stats_consistent_across_thread_counts() {
         bank.set_metrics(Arc::clone(&reg));
         bank.process_stream_with(refs.iter().copied(), threads, &storm);
         let snap = reg.snapshot();
-        // One depth high-water mark per worker, each within the one-slot
-        // ring's capacity and touched at least once.
+        // One depth high-water mark per worker, each within the one-batch
+        // queue's capacity and touched at least once.
         assert_eq!(snap.pipeline_ring_hwm.len(), threads, "t={threads}");
-        // queue_depth 1 rounds up to a 2-slot ring; under a storm the
-        // router keeps it pinned at capacity.
+        // Under a storm the router keeps each queue pinned at capacity.
         assert!(
-            snap.pipeline_ring_hwm.iter().all(|&d| (1..=2).contains(&d)),
-            "t={threads}: starved rings must pin depth_hwm at capacity, got {:?}",
+            snap.pipeline_ring_hwm.iter().all(|&d| d == 1),
+            "t={threads}: starved queues must pin depth_hwm at capacity, got {:?}",
             snap.pipeline_ring_hwm
         );
         // 16-key batches over 120k refs: thousands of batches, so the
-        // one-slot rings wrapped constantly and parking happened on both
-        // sides (a single worker still parks: it drains faster than the
-        // router refills).
+        // one-batch queues cycled constantly and blocking happened on
+        // both sides (a single worker still waits: it drains faster than
+        // the router refills).
         assert!(
             snap.pipeline_batches >= (refs.len() / storm.batch_size) as u64,
             "t={threads}: batches {}",
             snap.pipeline_batches
         );
-        // Wraps count full trips around each ring (batches ÷ capacity,
-        // capacity 2 here), so across all rings they sum to about half
-        // the batch count.
-        assert!(
-            snap.pipeline_ring_wraps * 2 >= snap.pipeline_batches - 2 * threads as u64,
-            "t={threads}: wraps {} vs batches {}",
-            snap.pipeline_ring_wraps,
-            snap.pipeline_batches
+        // Wraps count full cycles of each queue (sends ÷ capacity), so
+        // with capacity 1 they sum to the batch count.
+        assert_eq!(
+            snap.pipeline_ring_wraps, snap.pipeline_batches,
+            "t={threads}: wraps vs batches"
         );
         assert!(
             snap.pipeline_worker_parks > 0,
             "t={threads}: starved workers never parked"
         );
-        // Parks are bounded by what could have happened: the router can
-        // park at most once per attempted push, a worker at most once per
-        // pop attempt that found nothing.
-        assert!(
-            snap.pipeline_router_parks <= snap.pipeline_stalls + snap.pipeline_batches,
-            "t={threads}: router parks {} exceed push attempts",
-            snap.pipeline_router_parks
+        // The router parks exactly when a send blocks on a full queue.
+        assert_eq!(
+            snap.pipeline_router_parks, snap.pipeline_stalls,
+            "t={threads}: router parks vs stalls"
         );
         // Batch count is a pure function of the trace and batch size —
         // identical across thread counts.
@@ -296,25 +223,6 @@ fn park_storm_keeps_ring_stats_consistent_across_thread_counts() {
         // And the storm is scheduling-only: bits match the sequential run.
         assert_eq!(bank.mrc().points(), seq.mrc().points(), "t={threads}");
         assert_eq!(bank.stats(), seq.stats(), "t={threads}");
-    }
-}
-
-#[test]
-fn channel_baseline_matches_ring_pipeline() {
-    // The PR 6 sync_channel transport stays live as the A/B benchmark
-    // baseline; both transports must produce the same bits at every
-    // thread count, including threads > shards.
-    let refs = skewed(6_000, 90_000, 11);
-    let cfg = KrrConfig::new(5.0).seed(11).sampling(0.4);
-    let seq = sequential(&cfg, 5, &refs);
-    for threads in [1, 2, 5, 16] {
-        let mut rings = ShardedKrr::new(&cfg, 5);
-        rings.process_stream(refs.iter().copied(), threads);
-        let mut chans = ShardedKrr::new(&cfg, 5);
-        chans.process_stream_channels(refs.iter().copied(), threads);
-        assert_eq!(rings.mrc().points(), seq.mrc().points(), "t={threads}");
-        assert_eq!(chans.mrc().points(), seq.mrc().points(), "t={threads}");
-        assert_eq!(rings.stats(), chans.stats());
     }
 }
 
