@@ -27,7 +27,8 @@
 //! | `/profile`        | self-profiler totals as collapsed-stack folded text    |
 //! |                   | (pipe into `flamegraph.pl` / speedscope)               |
 //! | `/healthz`        | JSON health detail: watchdog drift, pipeline stalls,   |
-//! |                   | exemplar/profiler ring losses, per-tenant drift count  |
+//! |                   | exemplar/profiler ring losses, per-tenant drift count, |
+//! |                   | requests cut off at the deadline                       |
 //! |                   | (200, or 503 on any drift)                             |
 //!
 //! Endpoints whose source was not wired into [`ExpoSources`] answer 404;
@@ -35,7 +36,9 @@
 //! `/mrc?tenant=ID` 404s for an unknown tenant); `/healthz` always
 //! answers. Requests are handled inline on the accept thread, so shutting
 //! the server down ([`ExpoServer::shutdown`], also run on [`Drop`]) joins
-//! exactly one thread and can never leak per-connection threads.
+//! exactly one thread and can never leak per-connection threads. A client
+//! gets [`REQUEST_DEADLINE`] to send its request header, then a 408, so a
+//! slow one cannot hold that thread from the scrapes queued behind it.
 //!
 //! ```
 //! use krr_core::expo::{http_get, ExpoServer, ExpoSources};
@@ -62,7 +65,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::fleet::{FleetCell, FleetView};
 use crate::forensics::ExemplarRing;
@@ -590,16 +593,41 @@ fn respond(
     stream.flush()
 }
 
+/// Longest wait for any single read of a request.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// Longest a client may take to send its whole request header. Requests
+/// are served inline on the one server thread, so without it a client
+/// trickling one byte per [`READ_TIMEOUT`] would hold every scrape off
+/// for as long as it likes.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 fn handle_conn(mut stream: TcpStream, sources: &ExpoSources) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_write_timeout(Some(Duration::from_millis(500)))?;
+    stream.set_write_timeout(Some(READ_TIMEOUT))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut req = Vec::new();
     let mut chunk = [0u8; 1024];
     // Read until the end of the header block (we never accept bodies).
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            if let Some(reg) = &sources.metrics {
+                reg.expo_request_timeouts.inc();
+            }
+            return respond(
+                stream,
+                408,
+                "Request Timeout",
+                "text/plain",
+                "request not received in time\n",
+            );
+        }
+        stream.set_read_timeout(Some(left.min(READ_TIMEOUT)))?;
         let n = match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => n,
+            // A read cut short by the deadline is answered at the top of
+            // the loop; any other failure ends the request as it stands.
+            Err(_) if Instant::now() >= deadline => continue,
             Err(_) => break,
         };
         req.extend_from_slice(&chunk[..n]);
@@ -778,15 +806,16 @@ fn handle_conn(mut stream: TcpStream, sources: &ExpoSources) -> io::Result<()> {
             None => respond(stream, 404, "Not Found", "text/plain", "no trace source\n"),
         },
         "/healthz" => {
-            let (drift, mae, stalls, tenants_drifted) = match &sources.metrics {
+            let (drift, mae, stalls, tenants_drifted, timeouts) = match &sources.metrics {
                 Some(reg) => (
                     reg.watchdog_drift_events.get(),
                     reg.watchdog_mae_ppm.get(),
                     reg.pipeline_stalls.get(),
                     // Tenants with drift events: the `drifted` rollup.
                     tenant_rollups(&reg.tenant_rows.get())[2].value,
+                    reg.expo_request_timeouts.get(),
                 ),
-                None => (0, 0, 0, 0),
+                None => (0, 0, 0, 0, 0),
             };
             let unhealthy = drift > 0 || tenants_drifted > 0;
             let status = if unhealthy { "drift" } else { "ok" };
@@ -808,7 +837,7 @@ fn handle_conn(mut stream: TcpStream, sources: &ExpoSources) -> io::Result<()> {
                 "ok"
             };
             let body = format!(
-                "{{\"status\":\"{status}\",\"drift_events\":{drift},\"mae_ppm\":{mae},\"pipeline_stalls\":{stalls},\"tenants_drifted\":{tenants_drifted},\"exemplar_drops\":{exemplar_drops},\"profiler_drops\":{profiler_drops},\"subsystems\":{{\"watchdog\":\"{watchdog}\",\"pipeline\":\"{pipeline}\",\"tenants\":\"{tenants}\",\"forensics\":\"{forensics}\"}}}}"
+                "{{\"status\":\"{status}\",\"drift_events\":{drift},\"mae_ppm\":{mae},\"pipeline_stalls\":{stalls},\"tenants_drifted\":{tenants_drifted},\"exemplar_drops\":{exemplar_drops},\"profiler_drops\":{profiler_drops},\"request_timeouts\":{timeouts},\"subsystems\":{{\"watchdog\":\"{watchdog}\",\"pipeline\":\"{pipeline}\",\"tenants\":\"{tenants}\",\"forensics\":\"{forensics}\"}}}}"
             );
             if unhealthy {
                 respond(

@@ -1000,12 +1000,23 @@ catalog! {
     evictions: Counter = 9, "eviction.evictions", info "evictions", om "evictions";
     /// Idle time (age) of sampled eviction candidates.
     candidate_age: Histogram = 10, "eviction.candidate_age", info "candidate_age", om "candidate_age";
+    /// Commands the mini-Redis server has answered.
+    server_commands: Counter = 37, "server.commands", info "commands", om "server_commands";
+    /// Socket writes of buffered mini-Redis replies: one per command for
+    /// request/reply traffic, one per drained input buffer under
+    /// pipelining (commands / flushes is replies per write).
+    server_reply_flushes: Counter = 38, "server.reply_flushes", info "reply_flushes", om "server_reply_flushes";
+    /// Exposition HTTP requests cut off at the whole-request deadline
+    /// (answered 408).
+    expo_request_timeouts: Counter = 39, "expo.request_timeouts", info "request_timeouts", om "expo_request_timeouts";
 }
 
 /// Slots at which an older `METR` layout ends: the payload written before
 /// the ring-transport rows (slots 33–36) existed stops after the tenant
-/// rows. Every such layout is still checkpoint format version 1.
-const METR_LAYOUT_ENDS: &[usize] = &[33];
+/// rows, and the one written before the server and exposition rows
+/// (slots 37–39) stops after the ring rows. Every such layout is still
+/// checkpoint format version 1.
+const METR_LAYOUT_ENDS: &[usize] = &[33, 37];
 
 /// Catalog rows in `METR` payload order.
 fn metr_order() -> Vec<&'static Metric> {
@@ -1271,10 +1282,10 @@ impl MetricsSnapshot {
     }
 
     /// Reconstructs a snapshot from a [`MetricsSnapshot::save_state`]
-    /// payload. A payload in an older version-1 layout (the one written
-    /// before the ring-transport rows, which ends after the tenant rows)
-    /// loads with the rows added since at their defaults; a payload that
-    /// ends anywhere else is truncated and rejected.
+    /// payload. A payload in an older version-1 layout (ending after the
+    /// tenant rows, or after the ring-transport rows) loads with the rows
+    /// added since at their defaults; a payload that ends anywhere else is
+    /// truncated and rejected.
     pub fn load_state(dec: &mut Dec<'_>) -> io::Result<Self> {
         let mut snap = MetricsRegistry::new().snapshot();
         for m in metr_order() {

@@ -5,8 +5,8 @@
 //! stack: the "on" side enables in-band MRC profiling on the GET path and
 //! runs a live `/metrics` scraper against the embedded exposition server
 //! for the whole run. The resulting report is the "on" side's, with its
-//! [`AbReport`] section carrying both p99s and
-//! the relative delta — the number the tail-latency gate in
+//! [`AbReport`] section carrying both p99s, both p999s and the p99's
+//! relative delta — the number the tail-latency gate in
 //! `benches/load.rs` checks against its budget.
 
 use crate::report::{AbReport, LoadReport};
@@ -151,6 +151,7 @@ pub fn run_ab_forensics(
 ) -> io::Result<(LoadReport, Option<String>)> {
     let (off, _) = run_side(false, schedule, reqs, load, ab)?;
     let (mut on, metrics_json) = run_side(true, schedule, reqs, load, ab)?;
-    on.ab = AbReport::compare(off.latency_ns.p99_ns, on.latency_ns.p99_ns, ab.limit_pct);
+    on.ab = AbReport::compare(off.latency_ns.p99_ns, on.latency_ns.p99_ns, ab.limit_pct)
+        .with_p999(off.latency_ns.p999_ns, on.latency_ns.p999_ns);
     Ok((on, metrics_json))
 }

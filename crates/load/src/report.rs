@@ -82,6 +82,10 @@ pub struct AbReport {
     pub off_p99_ns: f64,
     /// p99 with profiling and scraping on.
     pub on_p99_ns: f64,
+    /// p999 with profiling and scraping off.
+    pub off_p999_ns: f64,
+    /// p999 with profiling and scraping on.
+    pub on_p999_ns: f64,
     /// `(on/off - 1) · 100`.
     pub delta_pct: f64,
     /// The regression budget the benchmark gates on.
@@ -96,12 +100,15 @@ impl AbReport {
             enabled: false,
             off_p99_ns: 0.0,
             on_p99_ns: 0.0,
+            off_p999_ns: 0.0,
+            on_p999_ns: 0.0,
             delta_pct: 0.0,
             limit_pct: 0.0,
         }
     }
 
-    /// Builds the comparison from the two runs' overall p99s.
+    /// Builds the comparison from the two runs' overall p99s (p999s
+    /// zero until [`AbReport::with_p999`] sets them).
     #[must_use]
     pub fn compare(off_p99_ns: f64, on_p99_ns: f64, limit_pct: f64) -> Self {
         let delta_pct = if off_p99_ns > 0.0 {
@@ -113,8 +120,20 @@ impl AbReport {
             enabled: true,
             off_p99_ns,
             on_p99_ns,
+            off_p999_ns: 0.0,
+            on_p999_ns: 0.0,
             delta_pct,
             limit_pct,
+        }
+    }
+
+    /// Records the two runs' overall p999s.
+    #[must_use]
+    pub fn with_p999(self, off_p999_ns: f64, on_p999_ns: f64) -> Self {
+        Self {
+            off_p999_ns,
+            on_p999_ns,
+            ..self
         }
     }
 }
@@ -186,12 +205,15 @@ impl LoadReport {
         let _ = write!(
             out,
             "],\"ab\":{{\"enabled\":{},\"off_p99_ns\":{:.1},\"on_p99_ns\":{:.1},\
-             \"delta_pct\":{:.3},\"limit_pct\":{:.1}}}}}",
+             \"delta_pct\":{:.3},\"limit_pct\":{:.1},\"off_p999_ns\":{:.1},\
+             \"on_p999_ns\":{:.1}}}}}",
             self.ab.enabled,
             self.ab.off_p99_ns,
             self.ab.on_p99_ns,
             self.ab.delta_pct,
-            self.ab.limit_pct
+            self.ab.limit_pct,
+            self.ab.off_p999_ns,
+            self.ab.on_p999_ns
         );
         out
     }
@@ -237,11 +259,14 @@ impl LoadReport {
         if self.ab.enabled {
             let _ = writeln!(
                 out,
-                "A/B: p99 off {:.0}µs -> on {:.0}µs ({:+.2}%, budget {:.0}%)",
+                "A/B: p99 off {:.0}µs -> on {:.0}µs ({:+.2}%, budget {:.0}%); \
+                 p999 off {:.0}µs -> on {:.0}µs",
                 self.ab.off_p99_ns / 1e3,
                 self.ab.on_p99_ns / 1e3,
                 self.ab.delta_pct,
-                self.ab.limit_pct
+                self.ab.limit_pct,
+                self.ab.off_p999_ns / 1e3,
+                self.ab.on_p999_ns / 1e3
             );
         }
         out

@@ -3,7 +3,12 @@
 //! Thread-per-connection with the store behind a mutex — the concurrency
 //! model real Redis avoids, but sufficient to validate KRR against a cache
 //! reached through an actual wire protocol (§5.7 ran against a live Redis
-//! instance). Supported commands: `GET`, `SET`, `DEL`, `DBSIZE`, `INFO`,
+//! instance). Replies are written as Redis writes them: a reply goes out
+//! at once when no further command is buffered, and a pipelined burst's
+//! replies go out together, one write per drained read buffer. Every
+//! socket read first writes what is buffered, so no reply waits while the
+//! connection blocks; `server.commands` and `server.reply_flushes` count
+//! commands and writes. Supported commands: `GET`, `SET`, `DEL`, `DBSIZE`, `INFO`,
 //! `METRICS`, `MRC`, `PING`, `SHUTDOWN`, `BGSAVE`, `TRACE DUMP`,
 //! `SLOWLOG GET|LEN|RESET`, and `CONFIG GET|SET` for
 //! `slowlog-log-slower-than`, `expo-port`, and `forensics`.
@@ -55,9 +60,10 @@ use crate::resp::{read_value, write_value, Value};
 use crate::store::MiniRedis;
 use krr_core::expo::{ExpoServer, ExpoSources, MrcCell};
 use krr_core::forensics::{Exemplar, ExemplarRing};
+use krr_core::metrics::Counter;
 use krr_core::obs::{FlightRecorder, Phase};
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -269,6 +275,44 @@ fn parse_key(data: &[u8]) -> Option<u64> {
     std::str::from_utf8(data).ok()?.parse().ok()
 }
 
+/// Bytes of buffered replies at which [`Wire`] writes them out even
+/// though more buffered input is waiting, so a pipeline of large replies
+/// (`INFO`, `TRACE DUMP`) holds a bounded amount of memory.
+const REPLY_SPILL: usize = 8 * 1024;
+
+/// A connection's socket with its reply buffer. Replies are appended to
+/// `out` and written out by [`Wire::flush_replies`]; as the `Read` side
+/// of the connection's `BufReader`, it flushes before every socket read,
+/// so no reply waits while the connection thread blocks on the socket —
+/// for a partial next frame, the stop-flag poll or a slow client.
+struct Wire<'a> {
+    sock: TcpStream,
+    out: Vec<u8>,
+    flushes: &'a Counter,
+}
+
+impl Wire<'_> {
+    /// Writes every buffered reply in one socket write.
+    fn flush_replies(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.flushes.inc();
+        let sent = self.sock.write_all(&self.out);
+        self.out.clear();
+        // Give back the memory of a one-off large reply.
+        self.out.shrink_to(REPLY_SPILL * 8);
+        sent
+    }
+}
+
+impl Read for Wire<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.flush_replies()?;
+        self.sock.read(buf)
+    }
+}
+
 fn serve_connection(
     conn: TcpStream,
     store: &Mutex<MiniRedis>,
@@ -284,19 +328,23 @@ fn serve_connection(
     // blocking forever in `read` (which would deadlock `shutdown` while a
     // client holds its connection open).
     conn.set_read_timeout(Some(std::time::Duration::from_millis(50)))?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
+    let mut reader = BufReader::new(Wire {
+        sock: conn,
+        out: Vec::new(),
+        flushes: &metrics.server_reply_flushes,
+    });
     // Per-connection tenant selection (`TENANT` command), like a Redis
     // `SELECT`ed database: it scopes this connection's GETs for fleet
     // profiling and resets when the connection closes.
     let mut tenant: Option<u64> = None;
     loop {
         if stop.load(Ordering::Relaxed) {
-            return Ok(());
+            // SHUTDOWN may have arrived mid-pipeline: its reply and those
+            // before it are still buffered.
+            return reader.get_mut().flush_replies();
         }
         // Probe for data without committing to a full-message read; a
         // timeout mid-probe keeps the buffered stream consistent.
-        use std::io::BufRead;
         match reader.fill_buf() {
             Ok([]) => return Ok(()), // clean EOF
             Ok(_) => {}
@@ -314,107 +362,184 @@ fn serve_connection(
                 // Protocol violation (oversized claim, bad tag, broken
                 // framing): report it like redis does, then hang up —
                 // the byte stream cannot be resynchronized.
-                use std::io::Write;
+                let wire = reader.get_mut();
                 let _ = write_value(
-                    &mut writer,
+                    &mut wire.out,
                     &Value::Error(format!("ERR Protocol error: {e}")),
                 );
-                let _ = writer.flush();
+                let _ = wire.flush_replies();
                 return Ok(());
             }
             Err(e) => return Err(e),
         };
         let request_id = obs.exemplars.next_request_id();
+        let argv = Argv::of(&request);
         let t0 = rec.now_ns();
-        let reply = handle(&request, store, stop, obs, &mut tenant);
+        let reply = match &argv {
+            Ok(argv) => handle(argv, store, stop, obs, &mut tenant),
+            Err(e) => Value::Error((*e).into()),
+        };
         let dur = rec.now_ns() - t0;
-        write_value(&mut writer, &reply)?;
-        use std::io::Write;
-        writer.flush()?;
-        // Forensics run strictly after the reply is on the wire: the
-        // capture cost (it lands on exactly the tail requests) must not
-        // inflate the latency the client observes. `dur` was taken
-        // before the write, so it remains pure service time.
-        if let Value::Array(parts) = &request {
-            let argv: Vec<&[u8]> = parts
-                .iter()
-                .filter_map(|p| match p {
-                    Value::Bulk(Some(data)) => Some(data.as_slice()),
-                    _ => None,
-                })
-                .collect();
-            let tag = argv.first().map_or(0, |c| command_tag(c));
-            // Pack the tenant into the span arg (0 = none) so trace spans
-            // are attributable in fleet mode; the trace writer unpacks it.
-            let span_arg = match tenant {
-                Some(t) => tag | ((t + 1) << 8),
-                None => tag,
-            };
-            rec.record(Phase::Command, t0, dur, span_arg);
-            obs.slowlog.offer(t0, dur, &argv, tenant);
-            if obs.exemplars.observe(dur) {
-                // Tail request: join the span key with the counter context
-                // a post-mortem needs. All reads are lock-free.
-                obs.exemplars.capture(&Exemplar {
-                    request_id,
-                    tenant,
-                    latency_ns: dur,
-                    start_ns: t0,
-                    command_tag: tag as u8,
-                    scrape_in_progress: obs.exemplars.scrape_in_progress(),
-                    router_parks: metrics.pipeline_router_parks.get(),
-                    worker_parks: metrics.pipeline_worker_parks.get(),
-                    deep_chains: metrics.chain_len.count(),
-                });
-            }
+        metrics.server_commands.inc();
+        write_value(&mut reader.get_mut().out, &reply)?;
+        // Replies are written the way Redis writes them: at once when no
+        // further command is buffered, otherwise together with the
+        // replies of the buffered commands — the socket read that drains
+        // the buffer flushes them first (`Wire::read`).
+        if reader.buffer().is_empty() || reader.get_ref().out.len() >= REPLY_SPILL {
+            reader.get_mut().flush_replies()?;
+        }
+        // Forensics run after the reply is written: for a lone request
+        // it is on the wire, so the capture cost (it lands on exactly the
+        // tail requests) does not inflate the latency the client
+        // observes. `dur` was taken before the write, so it remains pure
+        // service time.
+        let argv = argv.as_deref().unwrap_or_default();
+        let tag = argv
+            .first()
+            .and_then(|c| Cmd::parse(c))
+            .map_or(0, |c| c as u64);
+        // Pack the tenant into the span arg (0 = none) so trace spans are
+        // attributable in fleet mode; the trace writer unpacks it.
+        let span_arg = match tenant {
+            Some(t) => tag | ((t + 1) << 8),
+            None => tag,
+        };
+        rec.record(Phase::Command, t0, dur, span_arg);
+        obs.slowlog.offer(t0, dur, argv, tenant);
+        if obs.exemplars.observe(dur) {
+            // Tail request: join the span key with the counter context a
+            // post-mortem needs. All reads are lock-free.
+            obs.exemplars.capture(&Exemplar {
+                request_id,
+                tenant,
+                latency_ns: dur,
+                start_ns: t0,
+                command_tag: tag as u8,
+                scrape_in_progress: obs.exemplars.scrape_in_progress(),
+                router_parks: metrics.pipeline_router_parks.get(),
+                worker_parks: metrics.pipeline_worker_parks.get(),
+                deep_chains: metrics.chain_len.count(),
+            });
         }
     }
 }
 
-/// Stable numeric tag identifying a command in trace-event args.
-fn command_tag(cmd: &[u8]) -> u64 {
-    match cmd.to_ascii_uppercase().as_slice() {
-        b"PING" => 1,
-        b"GET" => 2,
-        b"SET" => 3,
-        b"DEL" => 4,
-        b"DBSIZE" => 5,
-        b"INFO" => 6,
-        b"METRICS" => 7,
-        b"MRC" => 8,
-        b"SHUTDOWN" => 9,
-        b"TRACE" => 10,
-        b"SLOWLOG" => 11,
-        b"CONFIG" => 12,
-        b"BGSAVE" => 13,
-        b"TENANT" => 14,
-        _ => 0,
+/// Arguments a command array carries inline; every command this server
+/// knows takes at most this many, so dispatching one allocates nothing.
+const INLINE_ARGS: usize = 4;
+
+/// A request's arguments, borrowed from the parsed request: the command
+/// name first. Shared by dispatch and forensics.
+enum Argv<'a> {
+    Inline([&'a [u8]; INLINE_ARGS], usize),
+    Heap(Vec<&'a [u8]>),
+}
+
+impl<'a> Argv<'a> {
+    /// The arguments of `request`, or the error reply for a request that
+    /// is not an array of bulk strings.
+    fn of(request: &'a Value) -> Result<Self, &'static str> {
+        let Value::Array(parts) = request else {
+            return Err("ERR expected command array");
+        };
+        let bulk = |p: &'a Value| match p {
+            Value::Bulk(Some(data)) => Ok(data.as_slice()),
+            _ => Err("ERR expected bulk-string arguments"),
+        };
+        if parts.len() > INLINE_ARGS {
+            return parts
+                .iter()
+                .map(bulk)
+                .collect::<Result<_, _>>()
+                .map(Argv::Heap);
+        }
+        let mut inline: [&[u8]; INLINE_ARGS] = [&[]; INLINE_ARGS];
+        for (slot, p) in inline.iter_mut().zip(parts) {
+            *slot = bulk(p)?;
+        }
+        Ok(Argv::Inline(inline, parts.len()))
+    }
+}
+
+impl<'a> std::ops::Deref for Argv<'a> {
+    type Target = [&'a [u8]];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Argv::Inline(args, n) => &args[..*n],
+            Argv::Heap(args) => args,
+        }
+    }
+}
+
+/// The commands the server answers. The discriminant is the stable
+/// numeric tag identifying a command in trace-event args and exemplars
+/// (0 = unknown).
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    Ping = 1,
+    Get,
+    Set,
+    Del,
+    Dbsize,
+    Info,
+    Metrics,
+    Mrc,
+    Shutdown,
+    Trace,
+    Slowlog,
+    Config,
+    Bgsave,
+    Tenant,
+}
+
+impl Cmd {
+    const ALL: [(&'static [u8], Cmd); 14] = [
+        (b"PING", Cmd::Ping),
+        (b"GET", Cmd::Get),
+        (b"SET", Cmd::Set),
+        (b"DEL", Cmd::Del),
+        (b"DBSIZE", Cmd::Dbsize),
+        (b"INFO", Cmd::Info),
+        (b"METRICS", Cmd::Metrics),
+        (b"MRC", Cmd::Mrc),
+        (b"SHUTDOWN", Cmd::Shutdown),
+        (b"TRACE", Cmd::Trace),
+        (b"SLOWLOG", Cmd::Slowlog),
+        (b"CONFIG", Cmd::Config),
+        (b"BGSAVE", Cmd::Bgsave),
+        (b"TENANT", Cmd::Tenant),
+    ];
+
+    /// Case-insensitive lookup of a command name.
+    fn parse(name: &[u8]) -> Option<Cmd> {
+        Self::ALL
+            .iter()
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
+            .map(|&(_, c)| c)
     }
 }
 
 fn handle(
-    request: &Value,
+    argv: &[&[u8]],
     store: &Mutex<MiniRedis>,
     stop: &AtomicBool,
     obs: &ServerObs,
     tenant: &mut Option<u64>,
 ) -> Value {
-    let Value::Array(parts) = request else {
-        return Value::Error("ERR expected command array".into());
-    };
-    let mut args = Vec::with_capacity(parts.len());
-    for p in parts {
-        match p {
-            Value::Bulk(Some(data)) => args.push(data.as_slice()),
-            _ => return Value::Error("ERR expected bulk-string arguments".into()),
-        }
-    }
-    let Some((cmd, rest)) = args.split_first() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         return Value::Error("ERR empty command".into());
     };
-    match cmd.to_ascii_uppercase().as_slice() {
-        b"PING" => Value::Simple("PONG".into()),
-        b"GET" => {
+    let Some(known) = Cmd::parse(cmd) else {
+        return Value::Error(format!(
+            "ERR unknown command {:?}",
+            String::from_utf8_lossy(&cmd.to_ascii_uppercase())
+        ));
+    };
+    match known {
+        Cmd::Ping => Value::Simple("PONG".into()),
+        Cmd::Get => {
             let [key] = rest else {
                 return Value::Error("ERR wrong arity for GET".into());
             };
@@ -429,7 +554,7 @@ fn handle(
                 Value::null()
             }
         }
-        b"SET" => {
+        Cmd::Set => {
             let [key, value] = rest else {
                 return Value::Error("ERR wrong arity for SET".into());
             };
@@ -442,12 +567,12 @@ fn handle(
                 .set(key, value.len() as u32);
             Value::Simple("OK".into())
         }
-        b"DEL" => {
+        Cmd::Del => {
             // Mini-redis has no user-facing delete; report 0 like a miss.
             Value::Integer(0)
         }
-        b"DBSIZE" => Value::Integer(store.lock().expect("store poisoned").len() as i64),
-        b"INFO" => {
+        Cmd::Dbsize => Value::Integer(store.lock().expect("store poisoned").len() as i64),
+        Cmd::Info => {
             let s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let stats = s.stats();
@@ -463,13 +588,13 @@ fn handle(
             body.push_str(&s.metrics().snapshot().render_info());
             Value::bulk(body.into_bytes())
         }
-        b"METRICS" => {
+        Cmd::Metrics => {
             let s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let snap = s.metrics().snapshot();
             Value::bulk(snap.to_json().into_bytes())
         }
-        b"MRC" => match store.lock().expect("store poisoned").mrc_profile() {
+        Cmd::Mrc => match store.lock().expect("store poisoned").mrc_profile() {
             Some(mrc) => {
                 let mut body = String::from("cache_size,miss_ratio\n");
                 for &(x, y) in mrc.points().iter().filter(|&&(x, _)| x > 0.0) {
@@ -479,7 +604,7 @@ fn handle(
             }
             None => Value::Error("ERR MRC profiling not enabled".into()),
         },
-        b"TENANT" => match rest {
+        Cmd::Tenant => match rest {
             // TENANT        -> current selection (nil if none)
             // TENANT <id>   -> scope this connection's GETs to tenant <id>
             // TENANT NONE   -> back to unscoped (aggregate-only) profiling
@@ -500,11 +625,11 @@ fn handle(
             },
             _ => Value::Error("ERR usage: TENANT [id|NONE]".into()),
         },
-        b"SHUTDOWN" => {
+        Cmd::Shutdown => {
             stop.store(true, Ordering::Relaxed);
             Value::Simple("OK".into())
         }
-        b"BGSAVE" => {
+        Cmd::Bgsave => {
             // Synchronous under the store lock: mini-redis has no fork, so
             // "background" saving is a consistent foreground snapshot.
             match store.lock().expect("store poisoned").bgsave() {
@@ -512,64 +637,59 @@ fn handle(
                 Err(e) => Value::Error(format!("ERR BGSAVE: {e}")),
             }
         }
-        b"TRACE" => match rest {
+        Cmd::Trace => match rest {
             [sub] if sub.eq_ignore_ascii_case(b"DUMP") => {
                 Value::bulk(obs.recorder.chrome_trace_json().into_bytes())
             }
             _ => Value::Error("ERR usage: TRACE DUMP".into()),
         },
-        b"SLOWLOG" => {
+        Cmd::Slowlog => {
             let Some((sub, sub_rest)) = rest.split_first() else {
                 return Value::Error("ERR usage: SLOWLOG GET|LEN|RESET".into());
             };
-            match sub.to_ascii_uppercase().as_slice() {
-                b"GET" => {
-                    let count = match sub_rest {
-                        [] => SLOWLOG_MAX_LEN,
-                        [n] => match std::str::from_utf8(n).ok().and_then(|s| s.parse().ok()) {
-                            Some(n) => n,
-                            None => return Value::Error("ERR invalid SLOWLOG GET count".into()),
-                        },
-                        _ => return Value::Error("ERR usage: SLOWLOG GET [count]".into()),
-                    };
-                    let entries = obs.slowlog.entries.lock().expect("slowlog poisoned");
-                    // Newest first, like Redis.
-                    let items = entries
-                        .iter()
-                        .rev()
-                        .take(count)
-                        .map(|e| {
-                            Value::Array(vec![
-                                Value::Integer(e.id as i64),
-                                Value::Integer(e.start_us as i64),
-                                Value::Integer(e.dur_us as i64),
-                                Value::Array(
-                                    e.argv.iter().map(|a| Value::bulk(a.clone())).collect(),
-                                ),
-                                match e.tenant {
-                                    Some(t) => Value::Integer(t as i64),
-                                    None => Value::Bulk(None),
-                                },
-                            ])
-                        })
-                        .collect();
-                    Value::Array(items)
-                }
-                b"LEN" => Value::Integer(
-                    obs.slowlog.entries.lock().expect("slowlog poisoned").len() as i64,
-                ),
-                b"RESET" => {
-                    obs.slowlog
-                        .entries
-                        .lock()
-                        .expect("slowlog poisoned")
-                        .clear();
-                    Value::Simple("OK".into())
-                }
-                _ => Value::Error("ERR usage: SLOWLOG GET|LEN|RESET".into()),
+            if sub.eq_ignore_ascii_case(b"GET") {
+                let count = match sub_rest {
+                    [] => SLOWLOG_MAX_LEN,
+                    [n] => match std::str::from_utf8(n).ok().and_then(|s| s.parse().ok()) {
+                        Some(n) => n,
+                        None => return Value::Error("ERR invalid SLOWLOG GET count".into()),
+                    },
+                    _ => return Value::Error("ERR usage: SLOWLOG GET [count]".into()),
+                };
+                let entries = obs.slowlog.entries.lock().expect("slowlog poisoned");
+                // Newest first, like Redis.
+                let items = entries
+                    .iter()
+                    .rev()
+                    .take(count)
+                    .map(|e| {
+                        Value::Array(vec![
+                            Value::Integer(e.id as i64),
+                            Value::Integer(e.start_us as i64),
+                            Value::Integer(e.dur_us as i64),
+                            Value::Array(e.argv.iter().map(|a| Value::bulk(a.clone())).collect()),
+                            match e.tenant {
+                                Some(t) => Value::Integer(t as i64),
+                                None => Value::Bulk(None),
+                            },
+                        ])
+                    })
+                    .collect();
+                Value::Array(items)
+            } else if sub.eq_ignore_ascii_case(b"LEN") {
+                Value::Integer(obs.slowlog.entries.lock().expect("slowlog poisoned").len() as i64)
+            } else if sub.eq_ignore_ascii_case(b"RESET") {
+                obs.slowlog
+                    .entries
+                    .lock()
+                    .expect("slowlog poisoned")
+                    .clear();
+                Value::Simple("OK".into())
+            } else {
+                Value::Error("ERR usage: SLOWLOG GET|LEN|RESET".into())
             }
         }
-        b"CONFIG" => match rest {
+        Cmd::Config => match rest {
             [sub, param] if sub.eq_ignore_ascii_case(b"GET") => {
                 if param.eq_ignore_ascii_case(b"slowlog-log-slower-than") {
                     let v = obs.slowlog.threshold_us.load(Ordering::Relaxed);
@@ -637,10 +757,12 @@ fn handle(
                     // One switch for both forensic subsystems: the exemplar
                     // ring and the phase profiler. Used by the overhead
                     // bench to get a recorder-only baseline.
-                    let on = match value.to_ascii_lowercase().as_slice() {
-                        b"on" => true,
-                        b"off" => false,
-                        _ => return Value::Error("ERR forensics must be on|off".into()),
+                    let on = if value.eq_ignore_ascii_case(b"on") {
+                        true
+                    } else if value.eq_ignore_ascii_case(b"off") {
+                        false
+                    } else {
+                        return Value::Error("ERR forensics must be on|off".into());
                     };
                     obs.exemplars.set_enabled(on);
                     obs.recorder.profiler().set_enabled(on);
@@ -654,10 +776,6 @@ fn handle(
                     .into(),
             ),
         },
-        other => Value::Error(format!(
-            "ERR unknown command {:?}",
-            String::from_utf8_lossy(other)
-        )),
     }
 }
 

@@ -410,7 +410,9 @@ impl MiniRedis {
                 dog.observe_hashed(fleet, t, key, h);
             }
         }
-        if self.ticks % EXPO_REFRESH_EVERY == 0
+        // Keyed on the GET count, not `ticks`: SETs advance the LRU clock
+        // too, and a refresh due on a SET's tick would be skipped.
+        if (self.stats.hits + self.stats.misses) % EXPO_REFRESH_EVERY == 0
             && (self.mrc_cell.is_some() || self.fleet_cell.is_some())
         {
             self.refresh_expo();
@@ -725,6 +727,26 @@ impl krr_core::footprint::Footprint for MiniRedis {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn expo_refresh_lands_on_every_10_000th_get_even_between_sets() {
+        let mut r = MiniRedis::new(1 << 30, 5, 3);
+        // Attached before profiling starts, so the cell stays empty until
+        // the first periodic refresh publishes into it.
+        let cell = Arc::new(krr_core::expo::MrcCell::new());
+        r.set_mrc_cell(Arc::clone(&cell));
+        r.enable_mrc_profiling(&KrrConfig::new(5.0).seed(1), 2);
+        // GET, SET, GET, SET, ...: every even tick — so every 10,000th
+        // tick — is a SET.
+        for i in 0..EXPO_REFRESH_EVERY {
+            assert!(cell.get().is_none(), "published before GET {}", i + 1);
+            let _ = r.get(i % 700);
+            r.set(i % 700, 64);
+        }
+        assert_eq!(r.stats().hits + r.stats().misses, EXPO_REFRESH_EVERY);
+        assert_eq!(r.ticks, 2 * EXPO_REFRESH_EVERY);
+        assert!(cell.get().is_some(), "not published at GET 10,000");
+    }
 
     #[test]
     fn set_get_roundtrip() {

@@ -75,6 +75,10 @@ grep -q "BENCH_doctor.json (krr-bench-doctor-v1)" /tmp/krr_doctor.out
 smoke=$(mktemp -d)
 krr() { cargo run --release --offline -q -p krr --bin krr -- "$@"; }
 krr generate --workload zipf:0.9:5000 --requests 50000 --out "$smoke/trace.csv" > /dev/null
+# Pipelined load end to end: 64-deep pipelines make the server batch its
+# replies (one write per drained read buffer); every request must succeed.
+krr load --qps 20000 --connections 2 --pipeline 64 "$smoke/trace.csv" > "$smoke/load.out"
+grep -q "errors 0" "$smoke/load.out"
 head -n 30000 "$smoke/trace.csv" > "$smoke/prefix.csv"
 krr model --shards 4 --threads 2 "$smoke/trace.csv" > "$smoke/mrc.csv"
 krr model --shards 4 --threads 2 --metrics-out "$smoke/krr-metrics.json" \

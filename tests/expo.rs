@@ -183,6 +183,48 @@ fn healthz_details_which_subsystem_is_unhealthy() {
 }
 
 #[test]
+fn trickling_client_is_cut_off_at_the_request_deadline() {
+    use krr::core::expo::REQUEST_DEADLINE;
+    use std::time::Instant;
+    let (server, reg, _mrc, _stats, _fleet, _ex) = full_server();
+    let addr = server.addr();
+    // One byte per 300 ms: every read lands inside the 500 ms per-read
+    // timeout, so only the whole-request deadline can end the request.
+    let mut slow = TcpStream::connect(addr).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let start = Instant::now();
+    let trickle = {
+        let mut w = slow.try_clone().unwrap();
+        std::thread::spawn(move || {
+            for &b in b"GET /healthz HTTP/1.1\r\nHost: x\r\n".iter() {
+                if w.write_all(&[b]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        })
+    };
+    // A scrape queued behind the trickler: connected after it, so the
+    // single server thread accepts it second.
+    let queued = std::thread::spawn(move || http_get(addr, "/healthz").unwrap());
+    let mut reply = Vec::new();
+    let _ = slow.read_to_end(&mut reply);
+    let cut_after = start.elapsed();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 408 "), "trickler got {reply:?}");
+    assert!(
+        cut_after < REQUEST_DEADLINE + Duration::from_secs(1),
+        "cut off after {cut_after:?}"
+    );
+    let (status, _, body) = queued.join().unwrap();
+    assert_eq!(status, 200);
+    assert!(body.contains("\"request_timeouts\":1"), "body: {body}");
+    assert_eq!(reg.expo_request_timeouts.get(), 1);
+    trickle.join().unwrap();
+}
+
+#[test]
 fn tenant_endpoints_serve_published_fleet_views() {
     let (server, _reg, _mrc, _stats, fleet, _ex) = full_server();
     let addr = server.addr();

@@ -87,6 +87,9 @@ fn golden_snapshot() -> MetricsSnapshot {
     reg.watchdog_shadow_refs.add(4_000);
     reg.watchdog_drift_events.add(2);
     reg.watchdog_mae_ppm.set(15_300);
+    reg.server_commands.add(200);
+    reg.server_reply_flushes.add(9);
+    reg.expo_request_timeouts.add(1);
 
     reg.footprint_pipeline_bytes.set(3_072);
     let mut report = FootprintReport::new();
@@ -186,6 +189,11 @@ const INFO: &str = concat!(
     "candidate_age_p99:5000\r\n",
     "candidate_age_max:5000\r\n",
     "candidate_age_buckets:1=1,127=1,8191=1\r\n",
+    "# server\r\n",
+    "commands:200\r\n",
+    "reply_flushes:9\r\n",
+    "# expo\r\n",
+    "request_timeouts:1\r\n",
 );
 
 /// `to_json()` bytes, split at top-level keys.
@@ -199,7 +207,9 @@ const JSON: &str = concat!(
     "\"watchdog\":{\"checks\":12,\"shadow_refs\":4000,\"drift_events\":2,\"mae_ppm\":15300},",
     "\"tenant\":{\"count\":2,\"refs\":1000,\"drifted\":1,\"shadowed\":1,\"rows\":[{\"id\":3,\"refs\":700,\"resident\":120,\"resident_bytes\":9600,\"miss_ratio_ppm\":412000,\"drift_events\":0,\"mae_ppm\":0,\"shadowed\":false},{\"id\":11,\"refs\":300,\"resident\":80,\"resident_bytes\":6400,\"miss_ratio_ppm\":250500,\"drift_events\":2,\"mae_ppm\":15300,\"shadowed\":true}]},",
     "\"memory\":{\"stack_bytes\":6272,\"hist_bytes\":512,\"sizes_bytes\":256,\"pipeline_bytes\":8192,\"shadow_bytes\":1024,\"total_bytes\":16256,\"heap_live_bytes\":65536,\"heap_peak_bytes\":131072,\"tenant\":{\"count\":2,\"total_bytes\":16000,\"mean_bytes\":8000,\"max_bytes\":9600}},",
-    "\"eviction\":{\"evictions\":7,\"candidate_age\":{\"count\":3,\"sum\":5065,\"max\":5000,\"mean\":1688.333,\"p99\":5000,\"buckets\":[[1,1],[127,1],[8191,1]]}}}",
+    "\"eviction\":{\"evictions\":7,\"candidate_age\":{\"count\":3,\"sum\":5065,\"max\":5000,\"mean\":1688.333,\"p99\":5000,\"buckets\":[[1,1],[127,1],[8191,1]]}},",
+    "\"server\":{\"commands\":200,\"reply_flushes\":9},",
+    "\"expo\":{\"request_timeouts\":1}}",
 );
 
 /// The `METR` payload as the little-endian `u64` words `save_state` writes.
@@ -215,7 +225,8 @@ const METR_WORDS: &[u64] = &[
     0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     0, 0, 0, 0, 0, 3, 400, 350, 250, 40, 2, 1000, 812345, 2345678, 3, 4, 2, 3, 12, 4000, 2, 15300,
     3, 120, 110, 90, 3, 97, 88, 60, 6272, 512, 256, 8192, 1024, 16256, 65536, 131072, 2, 3, 700,
-    120, 9600, 412000, 0, 0, 0, 11, 300, 80, 6400, 250500, 2, 15300, 1, 1, 9, 4, 2, 5, 3,
+    120, 9600, 412000, 0, 0, 0, 11, 300, 80, 6400, 250500, 2, 15300, 1, 1, 9, 4, 2, 5, 3, 200, 9,
+    1,
 ];
 
 /// `render_openmetrics()` lines, sorted.
@@ -227,6 +238,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# HELP krr_chain_len Swap-chain length per stack update.",
     "# HELP krr_cold_misses First references (cold misses).",
     "# HELP krr_evictions Evictions performed by a simulator or store.",
+    "# HELP krr_expo_request_timeouts Exposition HTTP requests cut off at the whole-request deadline (answered 408).",
     "# HELP krr_footprint_hist_bytes Deep bytes of the stack-distance histograms, summed across shards.",
     "# HELP krr_footprint_pipeline_bytes Resident bytes of the streaming pipeline's routing buffers, set when a pipeline run starts and kept from the most recent run.",
     "# HELP krr_footprint_shadow_bytes Deep bytes of the accuracy watchdog's shadow Olken profiler.",
@@ -251,6 +263,8 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# HELP krr_pipeline_worker_parks Times a worker blocked on an empty batch queue (the router could not keep it fed).",
     "# HELP krr_positions_scanned Stack positions examined per update (the updater's work).",
     "# HELP krr_ring_depth_hwm Deepest occupancy each worker's batch queue reached, recorded when a pipeline run finishes.",
+    "# HELP krr_server_commands Commands the mini-Redis server has answered.",
+    "# HELP krr_server_reply_flushes Socket writes of buffered mini-Redis replies: one per command for request/reply traffic, one per drained input buffer under pipelining (commands / flushes is replies per write).",
     "# HELP krr_shard_accesses References routed to each shard.",
     "# HELP krr_shard_depth_hwm Deepest 1-based stack position a re-reference has hit on each shard.",
     "# HELP krr_shard_queue_depth_hwm Batches in flight for each shard after a router send, high-water mark.",
@@ -275,6 +289,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# TYPE krr_chain_len histogram",
     "# TYPE krr_cold_misses counter",
     "# TYPE krr_evictions counter",
+    "# TYPE krr_expo_request_timeouts counter",
     "# TYPE krr_footprint_hist_bytes gauge",
     "# TYPE krr_footprint_pipeline_bytes gauge",
     "# TYPE krr_footprint_shadow_bytes gauge",
@@ -299,6 +314,8 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# TYPE krr_pipeline_worker_parks counter",
     "# TYPE krr_positions_scanned histogram",
     "# TYPE krr_ring_depth_hwm gauge",
+    "# TYPE krr_server_commands counter",
+    "# TYPE krr_server_reply_flushes counter",
     "# TYPE krr_shard_accesses counter",
     "# TYPE krr_shard_depth_hwm gauge",
     "# TYPE krr_shard_queue_depth_hwm gauge",
@@ -360,6 +377,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "krr_chain_len_sum 53",
     "krr_cold_misses_total 350",
     "krr_evictions_total 7",
+    "krr_expo_request_timeouts_total 1",
     "krr_footprint_hist_bytes 512",
     "krr_footprint_pipeline_bytes 8192",
     "krr_footprint_shadow_bytes 1024",
@@ -391,6 +409,8 @@ const OPENMETRICS_LINES: &[&str] = &[
     "krr_positions_scanned_sum 154",
     "krr_ring_depth_hwm{worker=\"0\"} 5",
     "krr_ring_depth_hwm{worker=\"1\"} 3",
+    "krr_server_commands_total 200",
+    "krr_server_reply_flushes_total 9",
     "krr_shard_accesses_total{shard=\"0\"} 400",
     "krr_shard_accesses_total{shard=\"1\"} 350",
     "krr_shard_accesses_total{shard=\"2\"} 250",
@@ -451,32 +471,53 @@ fn openmetrics_line_multiset_is_pinned() {
     assert_eq!(lines, OPENMETRICS_LINES);
 }
 
-/// A `METR` payload in the layout written before the ring-transport rows
-/// existed ends right after the tenant rows: it loads with the ring
-/// counters at zero, while a payload cut anywhere else is rejected.
+/// Older `METR` layouts: the one written before the ring-transport rows
+/// existed ends right after the tenant rows, and the one written before
+/// the server and exposition rows ends right after the ring rows. Each
+/// loads with the rows added since at zero, while a payload cut anywhere
+/// else is rejected.
 #[test]
 fn pre_ring_metr_layout_loads_and_other_cuts_fail() {
     let full: Vec<u8> = METR_WORDS.iter().flat_map(|w| w.to_le_bytes()).collect();
-    // The ring tail: router_parks, worker_parks, wraps, then depth_hwm as
-    // its length (2) and two values.
-    let pre_ring = full.len() - 6 * 8;
+    // The server and exposition tail: commands, reply_flushes,
+    // request_timeouts.
+    let pre_server = full.len() - 3 * 8;
+    // The ring tail before it: router_parks, worker_parks, wraps, then
+    // depth_hwm as its length (2) and two values.
+    let pre_ring = pre_server - 6 * 8;
     for cut in 0..full.len() {
         let loaded = MetricsSnapshot::load_state(&mut Dec::new(&full[..cut]));
-        assert_eq!(loaded.is_ok(), cut == pre_ring, "payload cut at byte {cut}");
+        assert_eq!(
+            loaded.is_ok(),
+            cut == pre_ring || cut == pre_server,
+            "payload cut at byte {cut}"
+        );
     }
+    let golden = golden_snapshot();
+    let mid = MetricsSnapshot::load_state(&mut Dec::new(&full[..pre_server])).unwrap();
+    assert_eq!(mid.server_commands, 0);
+    assert_eq!(mid.server_reply_flushes, 0);
+    assert_eq!(mid.expo_request_timeouts, 0);
+    let with_server = |snap: MetricsSnapshot| MetricsSnapshot {
+        server_commands: golden.server_commands,
+        server_reply_flushes: golden.server_reply_flushes,
+        expo_request_timeouts: golden.expo_request_timeouts,
+        ..snap
+    };
+    // Everything before the tail decodes as written.
+    assert_eq!(metr_payload(&with_server(mid)), full);
     let old = MetricsSnapshot::load_state(&mut Dec::new(&full[..pre_ring])).unwrap();
     assert_eq!(old.pipeline_router_parks, 0);
     assert_eq!(old.pipeline_worker_parks, 0);
     assert_eq!(old.pipeline_ring_wraps, 0);
     assert!(old.pipeline_ring_hwm.is_empty());
-    // Everything before the tail decodes as written.
-    let golden = golden_snapshot();
+    assert_eq!(old.server_commands, 0);
     let restored = MetricsSnapshot {
         pipeline_router_parks: golden.pipeline_router_parks,
         pipeline_worker_parks: golden.pipeline_worker_parks,
         pipeline_ring_wraps: golden.pipeline_ring_wraps,
         pipeline_ring_hwm: golden.pipeline_ring_hwm.clone(),
-        ..old
+        ..with_server(old)
     };
     assert_eq!(metr_payload(&restored), full);
 }

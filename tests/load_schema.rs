@@ -20,7 +20,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("ab.delta_pct", "num"),
     ("ab.enabled", "bool"),
     ("ab.limit_pct", "num"),
+    ("ab.off_p999_ns", "num"),
     ("ab.off_p99_ns", "num"),
+    ("ab.on_p999_ns", "num"),
     ("ab.on_p99_ns", "num"),
     ("achieved_qps", "num"),
     ("arrival", "str"),

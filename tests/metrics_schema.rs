@@ -28,6 +28,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("eviction.candidate_age.p99", "num"),
     ("eviction.candidate_age.sum", "num"),
     ("eviction.evictions", "num"),
+    ("expo", "obj"),
+    ("expo.request_timeouts", "num"),
     ("latency", "obj"),
     ("latency.access_ns", "obj"),
     ("latency.access_ns.buckets", "arr"),
@@ -68,6 +70,9 @@ const GOLDEN: &[(&str, &str)] = &[
     ("pipeline.stalls", "num"),
     ("pipeline.worker_busy_ns", "num"),
     ("schema", "str"),
+    ("server", "obj"),
+    ("server.commands", "num"),
+    ("server.reply_flushes", "num"),
     ("shards", "obj"),
     ("shards.accesses", "arr"),
     ("shards.depth_hwm", "arr"),
