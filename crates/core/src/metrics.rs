@@ -1006,6 +1006,9 @@ catalog! {
     /// request/reply traffic, one per drained input buffer under
     /// pipelining (commands / flushes is replies per write).
     server_reply_flushes: Counter = 38, "server.reply_flushes", info "reply_flushes", om "server_reply_flushes";
+    /// Drains of the mini-Redis profile queue that applied at least one
+    /// GET to the profiler (profiled GETs / drains is GETs per drain).
+    server_profile_drains: Counter = 40, "server.profile_drains", info "profile_drains", om "server_profile_drains";
     /// Exposition HTTP requests cut off at the whole-request deadline
     /// (answered 408).
     expo_request_timeouts: Counter = 39, "expo.request_timeouts", info "request_timeouts", om "expo_request_timeouts";
@@ -1013,10 +1016,11 @@ catalog! {
 
 /// Slots at which an older `METR` layout ends: the payload written before
 /// the ring-transport rows (slots 33–36) existed stops after the tenant
-/// rows, and the one written before the server and exposition rows
-/// (slots 37–39) stops after the ring rows. Every such layout is still
-/// checkpoint format version 1.
-const METR_LAYOUT_ENDS: &[usize] = &[33, 37];
+/// rows, the one written before the server and exposition rows
+/// (slots 37–39) stops after the ring rows, and the one written before
+/// `server.profile_drains` (slot 40) stops after those. Every such layout
+/// is still checkpoint format version 1.
+const METR_LAYOUT_ENDS: &[usize] = &[33, 37, 40];
 
 /// Catalog rows in `METR` payload order.
 fn metr_order() -> Vec<&'static Metric> {
@@ -1283,9 +1287,9 @@ impl MetricsSnapshot {
 
     /// Reconstructs a snapshot from a [`MetricsSnapshot::save_state`]
     /// payload. A payload in an older version-1 layout (ending after the
-    /// tenant rows, or after the ring-transport rows) loads with the rows
-    /// added since at their defaults; a payload that ends anywhere else is
-    /// truncated and rejected.
+    /// tenant rows, the ring-transport rows, or the server and exposition
+    /// rows) loads with the rows added since at their defaults; a payload
+    /// that ends anywhere else is truncated and rejected.
     pub fn load_state(dec: &mut Dec<'_>) -> io::Result<Self> {
         let mut snap = MetricsRegistry::new().snapshot();
         for m in metr_order() {

@@ -82,6 +82,9 @@ pub enum Phase {
     WatchdogCheck = 9,
     /// Worker blocked waiting on an empty ring (arg = worker index).
     RingWait = 10,
+    /// Mini-Redis connection applying the store's queued GETs to the
+    /// profiler after writing its replies (arg = GETs applied).
+    ProfileDrain = 11,
 }
 
 impl Phase {
@@ -100,6 +103,7 @@ impl Phase {
             Phase::StatsTick => "stats_tick",
             Phase::WatchdogCheck => "watchdog_check",
             Phase::RingWait => "ring_wait",
+            Phase::ProfileDrain => "profile_drain",
         }
     }
 
@@ -116,6 +120,7 @@ impl Phase {
             8 => Phase::StatsTick,
             9 => Phase::WatchdogCheck,
             10 => Phase::RingWait,
+            11 => Phase::ProfileDrain,
             _ => return None,
         })
     }

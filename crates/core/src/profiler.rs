@@ -93,9 +93,11 @@ impl ProfPhase {
         match phase {
             Phase::RouterBatch => ProfPhase::Filter,
             Phase::RouterStall | Phase::RingWait => ProfPhase::RingWait,
-            Phase::WorkerBatch | Phase::Merge | Phase::StackUpdate | Phase::DeepUpdate => {
-                ProfPhase::Update
-            }
+            Phase::WorkerBatch
+            | Phase::Merge
+            | Phase::StackUpdate
+            | Phase::DeepUpdate
+            | Phase::ProfileDrain => ProfPhase::Update,
             Phase::Command => ProfPhase::Serve,
             Phase::CsvRead | Phase::StatsTick | Phase::WatchdogCheck => ProfPhase::Other,
         }
@@ -416,11 +418,13 @@ mod tests {
             Phase::StatsTick,
             Phase::WatchdogCheck,
             Phase::RingWait,
+            Phase::ProfileDrain,
         ] {
             // Every span phase maps to some bucket without panicking.
             let _ = ProfPhase::from_span(p);
         }
         assert_eq!(ProfPhase::from_span(Phase::Command), ProfPhase::Serve);
         assert_eq!(ProfPhase::from_span(Phase::RingWait), ProfPhase::RingWait);
+        assert_eq!(ProfPhase::from_span(Phase::ProfileDrain), ProfPhase::Update);
     }
 }

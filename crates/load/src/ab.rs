@@ -129,6 +129,20 @@ fn run_side(
     result.map(|r| (r, metrics_json))
 }
 
+/// Replays `schedule` once against a fresh server: one side of an A/B
+/// experiment, profiling + scraping on when `profiled` is set. Several
+/// passes with alternating order give a paired comparison less exposed to
+/// one noisy stretch of a shared host than [`run_ab`]'s single pair.
+pub fn run_pass(
+    profiled: bool,
+    schedule: &Schedule,
+    reqs: &[Request],
+    load: &LoadConfig,
+    ab: &AbConfig,
+) -> io::Result<LoadReport> {
+    run_side(profiled, schedule, reqs, load, ab).map(|(report, _)| report)
+}
+
 /// Replays `schedule` twice — profiling + scraping off, then on — and
 /// returns the profiled side's report with the A/B comparison filled in.
 pub fn run_ab(

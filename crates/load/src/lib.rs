@@ -34,7 +34,7 @@ pub mod report;
 pub mod runner;
 pub mod schedule;
 
-pub use ab::{run_ab, run_ab_forensics, AbConfig};
+pub use ab::{run_ab, run_ab_forensics, run_pass, AbConfig};
 pub use report::{AbReport, LatencySummary, LoadReport, PhaseReport};
 pub use runner::{prefill, run, LoadConfig};
 pub use schedule::{Arrival, Phase, Schedule};

@@ -8,7 +8,19 @@
 //! replies go out together, one write per drained read buffer. Every
 //! socket read first writes what is buffered, so no reply waits while the
 //! connection blocks; `server.commands` and `server.reply_flushes` count
-//! commands and writes. Supported commands: `GET`, `SET`, `DEL`, `DBSIZE`, `INFO`,
+//! commands and writes.
+//!
+//! A GET's profiling runs behind its reply: the store queues the GET (see
+//! [`MiniRedis::apply_profile_queue`]), and a connection that queued one
+//! applies the store's queue right after each reply write — after the last
+//! reply of a burst and before every blocking socket read — so a lone
+//! GET's reply is on the wire before the KRR update, watchdog check and
+//! exposition refresh run. `MRC`, `INFO`, `METRICS` and `BGSAVE` apply the
+//! queue before they read. Each drain that applies GETs is one
+//! [`Phase::ProfileDrain`] span on the connection's ring (arg = GETs
+//! applied) and one `server.profile_drains` count.
+//!
+//! Supported commands: `GET`, `SET`, `DEL`, `DBSIZE`, `INFO`,
 //! `METRICS`, `MRC`, `PING`, `SHUTDOWN`, `BGSAVE`, `TRACE DUMP`,
 //! `SLOWLOG GET|LEN|RESET`, and `CONFIG GET|SET` for
 //! `slowlog-log-slower-than`, `expo-port`, and `forensics`.
@@ -61,7 +73,7 @@ use crate::store::MiniRedis;
 use krr_core::expo::{ExpoServer, ExpoSources, MrcCell};
 use krr_core::forensics::{Exemplar, ExemplarRing};
 use krr_core::metrics::Counter;
-use krr_core::obs::{FlightRecorder, Phase};
+use krr_core::obs::{FlightRecorder, Phase, ThreadRecorder};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -289,19 +301,35 @@ struct Wire<'a> {
     sock: TcpStream,
     out: Vec<u8>,
     flushes: &'a Counter,
+    store: &'a Mutex<MiniRedis>,
+    rec: &'a ThreadRecorder,
+    /// Whether this connection has queued a GET since its last drain.
+    queued_get: bool,
 }
 
 impl Wire<'_> {
-    /// Writes every buffered reply in one socket write.
+    /// Writes every buffered reply in one socket write, then applies the
+    /// store's profile queue if this connection queued a GET.
     fn flush_replies(&mut self) -> io::Result<()> {
-        if self.out.is_empty() {
-            return Ok(());
+        let sent = if self.out.is_empty() {
+            Ok(())
+        } else {
+            self.flushes.inc();
+            let sent = self.sock.write_all(&self.out);
+            self.out.clear();
+            // Give back the memory of a one-off large reply.
+            self.out.shrink_to(REPLY_SPILL * 8);
+            sent
+        };
+        if self.queued_get {
+            self.queued_get = false;
+            let mut store = self.store.lock().expect("store poisoned");
+            let t0 = self.rec.now_ns();
+            let applied = store.apply_profile_queue();
+            if applied > 0 {
+                self.rec.record_since(Phase::ProfileDrain, t0, applied);
+            }
         }
-        self.flushes.inc();
-        let sent = self.sock.write_all(&self.out);
-        self.out.clear();
-        // Give back the memory of a one-off large reply.
-        self.out.shrink_to(REPLY_SPILL * 8);
         sent
     }
 }
@@ -332,6 +360,9 @@ fn serve_connection(
         sock: conn,
         out: Vec::new(),
         flushes: &metrics.server_reply_flushes,
+        store,
+        rec: &rec,
+        queued_get: false,
     });
     // Per-connection tenant selection (`TENANT` command), like a Redis
     // `SELECT`ed database: it scopes this connection's GETs for fleet
@@ -374,6 +405,11 @@ fn serve_connection(
         };
         let request_id = obs.exemplars.next_request_id();
         let argv = Argv::of(&request);
+        let cmd = argv
+            .as_deref()
+            .ok()
+            .and_then(|a| a.first())
+            .and_then(|c| Cmd::parse(c));
         let t0 = rec.now_ns();
         let reply = match &argv {
             Ok(argv) => handle(argv, store, stop, obs, &mut tenant),
@@ -381,11 +417,14 @@ fn serve_connection(
         };
         let dur = rec.now_ns() - t0;
         metrics.server_commands.inc();
-        write_value(&mut reader.get_mut().out, &reply)?;
+        let wire = reader.get_mut();
+        wire.queued_get |= matches!(cmd, Some(Cmd::Get));
+        write_value(&mut wire.out, &reply)?;
         // Replies are written the way Redis writes them: at once when no
         // further command is buffered, otherwise together with the
         // replies of the buffered commands — the socket read that drains
-        // the buffer flushes them first (`Wire::read`).
+        // the buffer flushes them first (`Wire::read`). Queued GETs are
+        // profiled right after each write.
         if reader.buffer().is_empty() || reader.get_ref().out.len() >= REPLY_SPILL {
             reader.get_mut().flush_replies()?;
         }
@@ -395,10 +434,7 @@ fn serve_connection(
         // observes. `dur` was taken before the write, so it remains pure
         // service time.
         let argv = argv.as_deref().unwrap_or_default();
-        let tag = argv
-            .first()
-            .and_then(|c| Cmd::parse(c))
-            .map_or(0, |c| c as u64);
+        let tag = cmd.map_or(0, |c| c as u64);
         // Pack the tenant into the span arg (0 = none) so trace spans are
         // attributable in fleet mode; the trace writer unpacks it.
         let span_arg = match tenant {
@@ -573,7 +609,7 @@ fn handle(
         }
         Cmd::Dbsize => Value::Integer(store.lock().expect("store poisoned").len() as i64),
         Cmd::Info => {
-            let s = store.lock().expect("store poisoned");
+            let mut s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let stats = s.stats();
             let mut body = format!(
@@ -589,7 +625,7 @@ fn handle(
             Value::bulk(body.into_bytes())
         }
         Cmd::Metrics => {
-            let s = store.lock().expect("store poisoned");
+            let mut s = store.lock().expect("store poisoned");
             s.publish_footprint();
             let snap = s.metrics().snapshot();
             Value::bulk(snap.to_json().into_bytes())

@@ -14,6 +14,20 @@
 //! * two sampling backends: the default *clustered* bucket walk
 //!   (`dictGetSomeKeys`) and the fair `dictGetRandomKey` loop the paper's
 //!   footnote 3 discusses.
+//!
+//! Online profiling runs one step behind the GETs it observes. A GET does
+//! the lookup and the hit/miss counters, then appends `(tenant, key,
+//! size)` to a FIFO; [`MiniRedis::apply_profile_queue`] later feeds each
+//! queued GET, in order, to the KRR profiler, the accuracy watchdog, the
+//! fleet arena and its watchdog, and runs the exposition refresh on every
+//! [`EXPO_REFRESH_EVERY`]th GET — exactly what a GET did inline before.
+//! The server applies the queue after writing a burst's replies; every
+//! reader of profiler state (`mrc_profile`, `publish_footprint`,
+//! `watchdog_report`, `fleet`, `save_checkpoint`) applies it first, and a
+//! GET applies it inline once it holds [`PROFILE_QUEUE_CAP`] entries. So
+//! every curve, verdict, view and checkpoint equals the inline profile's;
+//! only registry counters the profiler writes (`model`/`shards`/`updater`
+//! rows) advance at each drain instead of at each GET.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -48,6 +62,10 @@ pub const EVICTION_POOL_SIZE: usize = 16;
 /// GETs between periodic exposition refreshes (MRC cell + footprint
 /// gauges) while an expo consumer is attached.
 pub const EXPO_REFRESH_EVERY: u64 = 10_000;
+/// Queued GETs at which a GET applies the profile queue inline, so an
+/// in-process replay or a flood that never reaches a drain point stays
+/// bounded: about the GETs in one 8 KiB read buffer.
+pub const PROFILE_QUEUE_CAP: usize = 256;
 /// Width of the LRU clock in bits (`LRU_BITS`).
 pub const LRU_BITS: u32 = 24;
 const LRU_CLOCK_MAX: u64 = (1 << LRU_BITS) - 1;
@@ -57,6 +75,17 @@ struct Entry {
     size: u32,
     /// Truncated 24-bit LRU timestamp.
     lru: u32,
+}
+
+/// A GET waiting for the profiler: 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct QueuedGet {
+    key: u64,
+    /// Meaningful only when `has_tenant` is set.
+    tenant: u64,
+    /// Size fed to the profiler: the stored size on a hit, 1 on a miss.
+    size: u32,
+    has_tenant: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -129,6 +158,10 @@ pub struct MiniRedis {
     /// Published fleet view for the exposition server's `/tenants` and
     /// `/mrc?tenant=` endpoints; refreshed with the MRC cell.
     fleet_cell: Option<Arc<FleetCell>>,
+    /// GETs not yet applied to the profilers, oldest first (at most
+    /// [`PROFILE_QUEUE_CAP`]). Store plumbing, outside the profiler's
+    /// footprint.
+    profile_queue: Vec<QueuedGet>,
 }
 
 impl MiniRedis {
@@ -165,6 +198,7 @@ impl MiniRedis {
             fleet: None,
             fleet_dog: None,
             fleet_cell: None,
+            profile_queue: Vec::new(),
         }
     }
 
@@ -173,6 +207,7 @@ impl MiniRedis {
     /// store's metrics registry, so INFO/METRICS expose the profiler's
     /// shard and pipeline counters. `shards` >= 1.
     pub fn enable_mrc_profiling(&mut self, config: &KrrConfig, shards: usize) {
+        self.apply_profile_queue();
         let mut bank = ShardedKrr::new(config, shards);
         bank.set_metrics(Arc::clone(&self.metrics));
         if let Some(rec) = &self.recorder {
@@ -188,6 +223,7 @@ impl MiniRedis {
     /// Checks only run while MRC profiling is enabled — without a KRR
     /// curve there is nothing to compare.
     pub fn enable_accuracy_watchdog(&mut self, config: WatchdogConfig) {
+        self.apply_profile_queue();
         let mut dog = AccuracyWatchdog::new(config);
         dog.set_metrics(Arc::clone(&self.metrics));
         if let Some(rec) = &self.recorder {
@@ -204,6 +240,7 @@ impl MiniRedis {
     /// `krr_tenant_*` series) and, once a [`FleetCell`] is attached, in the
     /// exposition server's `/tenants` and `/mrc?tenant=` endpoints.
     pub fn enable_fleet_profiling(&mut self, config: FleetConfig) {
+        self.apply_profile_queue();
         let mut arena = FleetArena::new(config);
         arena.set_metrics(Arc::clone(&self.metrics));
         if let Some(rec) = &self.recorder {
@@ -218,14 +255,16 @@ impl MiniRedis {
     /// [`MiniRedis::enable_fleet_profiling`] to have been called — without
     /// an arena there are no tenants to shadow.
     pub fn enable_fleet_watchdog(&mut self, config: FleetWatchdogConfig) {
+        self.apply_profile_queue();
         let mut dog = FleetWatchdog::new(config);
         dog.set_metrics(Arc::clone(&self.metrics));
         self.fleet_dog = Some(dog);
     }
 
-    /// The fleet arena, if fleet profiling is enabled.
-    #[must_use]
-    pub fn fleet(&self) -> Option<&FleetArena> {
+    /// The fleet arena, if fleet profiling is enabled, with every queued
+    /// GET applied.
+    pub fn fleet(&mut self) -> Option<&FleetArena> {
+        self.apply_profile_queue();
         self.fleet.as_ref()
     }
 
@@ -234,15 +273,17 @@ impl MiniRedis {
     /// [`EXPO_REFRESH_EVERY`] cadence as the aggregate MRC cell, plus
     /// immediately if the arena already has tenants.
     pub fn set_fleet_cell(&mut self, cell: Arc<FleetCell>) {
+        self.apply_profile_queue();
         if let Some(f) = &self.fleet {
             cell.publish(f.view());
         }
         self.fleet_cell = Some(cell);
     }
 
-    /// The watchdog's most recent comparison, if any have run.
-    #[must_use]
-    pub fn watchdog_report(&self) -> Option<WatchdogReport> {
+    /// The watchdog's most recent comparison, if any have run, with every
+    /// queued GET applied.
+    pub fn watchdog_report(&mut self) -> Option<WatchdogReport> {
+        self.apply_profile_queue();
         self.watchdog
             .as_ref()
             .and_then(AccuracyWatchdog::last_report)
@@ -261,9 +302,10 @@ impl MiniRedis {
         self.recorder = Some(recorder);
     }
 
-    /// The current MRC estimate, or `None` if profiling was never enabled.
-    #[must_use]
-    pub fn mrc_profile(&self) -> Option<Mrc> {
+    /// The current MRC estimate over every GET so far, or `None` if
+    /// profiling was never enabled.
+    pub fn mrc_profile(&mut self) -> Option<Mrc> {
+        self.apply_profile_queue();
         self.profiler.as_ref().map(ShardedKrr::mrc)
     }
 
@@ -271,16 +313,23 @@ impl MiniRedis {
     /// server). The store republishes the profiler's curve into it every
     /// [`EXPO_REFRESH_EVERY`] GETs, plus immediately if a curve exists.
     pub fn set_mrc_cell(&mut self, cell: Arc<krr_core::expo::MrcCell>) {
+        self.apply_profile_queue();
         if let Some(p) = &self.profiler {
             cell.publish(p.mrc());
         }
         self.mrc_cell = Some(cell);
     }
 
-    /// Pushes the profiler's current memory-footprint breakdown (and the
-    /// watchdog's shadow bytes) into the metrics registry so `INFO`'s
-    /// `# memory` section and a scrape of `/metrics` see fresh gauges.
-    pub fn publish_footprint(&self) {
+    /// Applies the queued GETs, then pushes the profiler's current
+    /// memory-footprint breakdown (and the watchdog's shadow bytes) into
+    /// the metrics registry so `INFO`'s `# memory` section and a scrape of
+    /// `/metrics` see fresh gauges and counters.
+    pub fn publish_footprint(&mut self) {
+        self.apply_profile_queue();
+        self.publish_gauges();
+    }
+
+    fn publish_gauges(&self) {
         use krr_core::footprint::Footprint as _;
         if let Some(p) = &self.profiler {
             p.publish_footprint();
@@ -292,7 +341,7 @@ impl MiniRedis {
 
     /// Periodic exposition refresh driven by the GET stream.
     fn refresh_expo(&self) {
-        self.publish_footprint();
+        self.publish_gauges();
         if let (Some(p), Some(cell)) = (&self.profiler, &self.mrc_cell) {
             cell.publish(p.mrc());
         }
@@ -375,8 +424,9 @@ impl MiniRedis {
     /// behave exactly like [`MiniRedis::get`]; additionally, when fleet
     /// profiling is enabled and `tenant` is `Some`, the reference feeds
     /// that tenant's KRR instance (materializing it on first touch) and
-    /// its shadow watchdog if the fleet watchdog has elected it. The key is
-    /// hashed once and the hash shared by the arena and the shadow filter.
+    /// its shadow watchdog if the fleet watchdog has elected it. The
+    /// profiling is queued, not done here: see
+    /// [`MiniRedis::apply_profile_queue`].
     pub fn get_for(&mut self, tenant: Option<u64>, key: u64) -> bool {
         self.ticks += 1;
         self.metrics.accesses.inc();
@@ -394,30 +444,69 @@ impl MiniRedis {
                 (false, 1)
             }
         };
-        if let Some(p) = &mut self.profiler {
-            p.access(key, size);
-            if let Some(dog) = &mut self.watchdog {
-                dog.observe(key);
-                if dog.check_due() {
-                    dog.check(&p.mrc());
-                }
-            }
-        }
-        if let (Some(t), Some(fleet)) = (tenant, &mut self.fleet) {
-            let h = hash_key(key);
-            fleet.access_hashed(t, key, size, h);
-            if let Some(dog) = &mut self.fleet_dog {
-                dog.observe_hashed(fleet, t, key, h);
-            }
-        }
-        // Keyed on the GET count, not `ticks`: SETs advance the LRU clock
-        // too, and a refresh due on a SET's tick would be skipped.
-        if (self.stats.hits + self.stats.misses) % EXPO_REFRESH_EVERY == 0
-            && (self.mrc_cell.is_some() || self.fleet_cell.is_some())
+        if self.profiler.is_some()
+            || self.fleet.is_some()
+            || self.mrc_cell.is_some()
+            || self.fleet_cell.is_some()
         {
-            self.refresh_expo();
+            self.profile_queue.push(QueuedGet {
+                key,
+                tenant: tenant.unwrap_or(0),
+                size,
+                has_tenant: tenant.is_some(),
+            });
+            if self.profile_queue.len() >= PROFILE_QUEUE_CAP {
+                self.apply_profile_queue();
+            }
         }
         hit
+    }
+
+    /// Applies the queued GETs in order, each exactly as an unqueued GET
+    /// would have been profiled: the KRR profiler access, the watchdog's
+    /// observe and check, the fleet arena and fleet watchdog, and the
+    /// exposition refresh on every [`EXPO_REFRESH_EVERY`]th GET. Returns
+    /// the number applied; a drain that applies any counts in
+    /// `server.profile_drains`.
+    pub fn apply_profile_queue(&mut self) -> u64 {
+        if self.profile_queue.is_empty() {
+            return 0;
+        }
+        let mut queue = std::mem::take(&mut self.profile_queue);
+        // Every GET since the oldest queued one is queued, so the GET
+        // count at queued GET `i` is this plus `i + 1`.
+        let done = self.stats.hits + self.stats.misses - queue.len() as u64;
+        for (i, g) in queue.iter().enumerate() {
+            if let Some(p) = &mut self.profiler {
+                p.access(g.key, g.size);
+                if let Some(dog) = &mut self.watchdog {
+                    dog.observe(g.key);
+                    if dog.check_due() {
+                        dog.check(&p.mrc());
+                    }
+                }
+            }
+            if let (true, Some(fleet)) = (g.has_tenant, &mut self.fleet) {
+                let h = hash_key(g.key);
+                fleet.access_hashed(g.tenant, g.key, g.size, h);
+                if let Some(dog) = &mut self.fleet_dog {
+                    dog.observe_hashed(fleet, g.tenant, g.key, h);
+                }
+            }
+            // Keyed on the GET count, not `ticks`: SETs advance the LRU
+            // clock too, and a refresh due on a SET's tick would be
+            // skipped.
+            if (done + i as u64 + 1) % EXPO_REFRESH_EVERY == 0
+                && (self.mrc_cell.is_some() || self.fleet_cell.is_some())
+            {
+                self.refresh_expo();
+            }
+        }
+        let applied = queue.len() as u64;
+        queue.clear();
+        self.profile_queue = queue;
+        self.metrics.server_profile_drains.inc();
+        applied
     }
 
     /// SET: installs/updates `key` with `size` bytes, evicting under
@@ -645,8 +734,10 @@ impl MiniRedis {
 
     /// Writes a full `krr-ckpt-v1` checkpoint of the store — keyspace and
     /// counters (`STOR`), metrics registry (`METR`), plus the profiler
-    /// (`SHRD`) and watchdog (`WDOG`) when enabled — atomically to `path`.
-    pub fn save_checkpoint<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
+    /// (`SHRD`) and watchdog (`WDOG`) when enabled — atomically to `path`,
+    /// after applying every queued GET.
+    pub fn save_checkpoint<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
+        self.apply_profile_queue();
         let mut w = CheckpointWriter::new();
         self.save_state(w.section(SECTION_STORE));
         self.metrics
@@ -664,8 +755,8 @@ impl MiniRedis {
     /// `BGSAVE`: writes [`MiniRedis::save_checkpoint`] to the path set with
     /// [`MiniRedis::set_checkpoint_path`], or fails with `InvalidInput` if
     /// none was configured.
-    pub fn bgsave(&self) -> std::io::Result<()> {
-        match &self.checkpoint_path {
+    pub fn bgsave(&mut self) -> std::io::Result<()> {
+        match self.checkpoint_path.clone() {
             Some(path) => self.save_checkpoint(path),
             None => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -742,6 +833,7 @@ mod tests {
             assert!(cell.get().is_none(), "published before GET {}", i + 1);
             let _ = r.get(i % 700);
             r.set(i % 700, 64);
+            r.apply_profile_queue();
         }
         assert_eq!(r.stats().hits + r.stats().misses, EXPO_REFRESH_EVERY);
         assert_eq!(r.ticks, 2 * EXPO_REFRESH_EVERY);

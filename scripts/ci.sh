@@ -107,8 +107,11 @@ rm -rf "$smoke"
 # 5% budget), and BENCH_space.json (KRR vs Olken/SHARDS/CounterStacks deep
 # footprint at M=1e6 — exits nonzero unless KRR < Olken — plus the
 # /metrics scrape-overhead gate, also 5%) and BENCH_load.json (open-loop
-# RESP load A/B: p99 with MRC profiling + live scraping on vs off — exits
-# nonzero past a 10% tail budget) and BENCH_fleet.json (1000+-tenant
+# RESP load A/B: five off/on passes alternating which side runs first;
+# the median p99 and median p999 with MRC profiling + live scraping on vs
+# off must stay within a 10% tail budget or an absolute slack — exits
+# nonzero otherwise, and its "load gate: pass" verdict line must print)
+# and BENCH_fleet.json (1000+-tenant
 # arena in one process: aggregate /metrics scrape overhead under the same
 # 5% budget, per-tenant Footprint bytes within 1.1x of the allocator's
 # count, mean resident bytes per tenant at most 12,216) and BENCH_doctor.json (paired forensics on/off RESP A/B:
@@ -117,7 +120,9 @@ if [ "${KRR_CI_BENCH:-0}" = "1" ]; then
     cargo bench -q --offline -p krr-bench --bench pipeline
     cargo bench -q --offline -p krr-bench --bench obs
     cargo bench -q --offline -p krr-bench --bench space
-    cargo bench -q --offline -p krr-bench --bench load
+    load_out=$(cargo bench -q --offline -p krr-bench --bench load)
+    echo "$load_out"
+    echo "$load_out" | grep -q '^load gate: pass (median of'
     cargo bench -q --offline -p krr-bench --bench fleet
     cargo bench -q --offline -p krr-bench --bench doctor
 fi

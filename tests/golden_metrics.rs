@@ -89,6 +89,7 @@ fn golden_snapshot() -> MetricsSnapshot {
     reg.watchdog_mae_ppm.set(15_300);
     reg.server_commands.add(200);
     reg.server_reply_flushes.add(9);
+    reg.server_profile_drains.add(3);
     reg.expo_request_timeouts.add(1);
 
     reg.footprint_pipeline_bytes.set(3_072);
@@ -192,6 +193,7 @@ const INFO: &str = concat!(
     "# server\r\n",
     "commands:200\r\n",
     "reply_flushes:9\r\n",
+    "profile_drains:3\r\n",
     "# expo\r\n",
     "request_timeouts:1\r\n",
 );
@@ -208,7 +210,7 @@ const JSON: &str = concat!(
     "\"tenant\":{\"count\":2,\"refs\":1000,\"drifted\":1,\"shadowed\":1,\"rows\":[{\"id\":3,\"refs\":700,\"resident\":120,\"resident_bytes\":9600,\"miss_ratio_ppm\":412000,\"drift_events\":0,\"mae_ppm\":0,\"shadowed\":false},{\"id\":11,\"refs\":300,\"resident\":80,\"resident_bytes\":6400,\"miss_ratio_ppm\":250500,\"drift_events\":2,\"mae_ppm\":15300,\"shadowed\":true}]},",
     "\"memory\":{\"stack_bytes\":6272,\"hist_bytes\":512,\"sizes_bytes\":256,\"pipeline_bytes\":8192,\"shadow_bytes\":1024,\"total_bytes\":16256,\"heap_live_bytes\":65536,\"heap_peak_bytes\":131072,\"tenant\":{\"count\":2,\"total_bytes\":16000,\"mean_bytes\":8000,\"max_bytes\":9600}},",
     "\"eviction\":{\"evictions\":7,\"candidate_age\":{\"count\":3,\"sum\":5065,\"max\":5000,\"mean\":1688.333,\"p99\":5000,\"buckets\":[[1,1],[127,1],[8191,1]]}},",
-    "\"server\":{\"commands\":200,\"reply_flushes\":9},",
+    "\"server\":{\"commands\":200,\"reply_flushes\":9,\"profile_drains\":3},",
     "\"expo\":{\"request_timeouts\":1}}",
 );
 
@@ -226,7 +228,7 @@ const METR_WORDS: &[u64] = &[
     0, 0, 0, 0, 0, 3, 400, 350, 250, 40, 2, 1000, 812345, 2345678, 3, 4, 2, 3, 12, 4000, 2, 15300,
     3, 120, 110, 90, 3, 97, 88, 60, 6272, 512, 256, 8192, 1024, 16256, 65536, 131072, 2, 3, 700,
     120, 9600, 412000, 0, 0, 0, 11, 300, 80, 6400, 250500, 2, 15300, 1, 1, 9, 4, 2, 5, 3, 200, 9,
-    1,
+    1, 3,
 ];
 
 /// `render_openmetrics()` lines, sorted.
@@ -264,6 +266,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# HELP krr_positions_scanned Stack positions examined per update (the updater's work).",
     "# HELP krr_ring_depth_hwm Deepest occupancy each worker's batch queue reached, recorded when a pipeline run finishes.",
     "# HELP krr_server_commands Commands the mini-Redis server has answered.",
+    "# HELP krr_server_profile_drains Drains of the mini-Redis profile queue that applied at least one GET to the profiler (profiled GETs / drains is GETs per drain).",
     "# HELP krr_server_reply_flushes Socket writes of buffered mini-Redis replies: one per command for request/reply traffic, one per drained input buffer under pipelining (commands / flushes is replies per write).",
     "# HELP krr_shard_accesses References routed to each shard.",
     "# HELP krr_shard_depth_hwm Deepest 1-based stack position a re-reference has hit on each shard.",
@@ -315,6 +318,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "# TYPE krr_positions_scanned histogram",
     "# TYPE krr_ring_depth_hwm gauge",
     "# TYPE krr_server_commands counter",
+    "# TYPE krr_server_profile_drains counter",
     "# TYPE krr_server_reply_flushes counter",
     "# TYPE krr_shard_accesses counter",
     "# TYPE krr_shard_depth_hwm gauge",
@@ -410,6 +414,7 @@ const OPENMETRICS_LINES: &[&str] = &[
     "krr_ring_depth_hwm{worker=\"0\"} 5",
     "krr_ring_depth_hwm{worker=\"1\"} 3",
     "krr_server_commands_total 200",
+    "krr_server_profile_drains_total 3",
     "krr_server_reply_flushes_total 9",
     "krr_shard_accesses_total{shard=\"0\"} 400",
     "krr_shard_accesses_total{shard=\"1\"} 350",
@@ -472,16 +477,19 @@ fn openmetrics_line_multiset_is_pinned() {
 }
 
 /// Older `METR` layouts: the one written before the ring-transport rows
-/// existed ends right after the tenant rows, and the one written before
-/// the server and exposition rows ends right after the ring rows. Each
+/// existed ends right after the tenant rows, the one written before
+/// the server and exposition rows ends right after the ring rows, and the
+/// one written before `server.profile_drains` ends right after those. Each
 /// loads with the rows added since at zero, while a payload cut anywhere
 /// else is rejected.
 #[test]
 fn pre_ring_metr_layout_loads_and_other_cuts_fail() {
     let full: Vec<u8> = METR_WORDS.iter().flat_map(|w| w.to_le_bytes()).collect();
-    // The server and exposition tail: commands, reply_flushes,
+    // The last row: profile_drains.
+    let pre_drains = full.len() - 8;
+    // The server and exposition tail before it: commands, reply_flushes,
     // request_timeouts.
-    let pre_server = full.len() - 3 * 8;
+    let pre_server = pre_drains - 3 * 8;
     // The ring tail before it: router_parks, worker_parks, wraps, then
     // depth_hwm as its length (2) and two values.
     let pre_ring = pre_server - 6 * 8;
@@ -489,11 +497,18 @@ fn pre_ring_metr_layout_loads_and_other_cuts_fail() {
         let loaded = MetricsSnapshot::load_state(&mut Dec::new(&full[..cut]));
         assert_eq!(
             loaded.is_ok(),
-            cut == pre_ring || cut == pre_server,
+            cut == pre_ring || cut == pre_server || cut == pre_drains,
             "payload cut at byte {cut}"
         );
     }
     let golden = golden_snapshot();
+    let late = MetricsSnapshot::load_state(&mut Dec::new(&full[..pre_drains])).unwrap();
+    assert_eq!(late.server_profile_drains, 0);
+    let with_drains = |snap: MetricsSnapshot| MetricsSnapshot {
+        server_profile_drains: golden.server_profile_drains,
+        ..snap
+    };
+    assert_eq!(metr_payload(&with_drains(late)), full);
     let mid = MetricsSnapshot::load_state(&mut Dec::new(&full[..pre_server])).unwrap();
     assert_eq!(mid.server_commands, 0);
     assert_eq!(mid.server_reply_flushes, 0);
@@ -502,7 +517,7 @@ fn pre_ring_metr_layout_loads_and_other_cuts_fail() {
         server_commands: golden.server_commands,
         server_reply_flushes: golden.server_reply_flushes,
         expo_request_timeouts: golden.expo_request_timeouts,
-        ..snap
+        ..with_drains(snap)
     };
     // Everything before the tail decodes as written.
     assert_eq!(metr_payload(&with_server(mid)), full);

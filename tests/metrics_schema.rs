@@ -72,6 +72,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("schema", "str"),
     ("server", "obj"),
     ("server.commands", "num"),
+    ("server.profile_drains", "num"),
     ("server.reply_flushes", "num"),
     ("shards", "obj"),
     ("shards.accesses", "arr"),
