@@ -8,8 +8,6 @@
 //! * [`aet`] — the AET reuse-time model (related-work extension, §6.1).
 //! * [`counterstacks`] / [`hll`] — CounterStacks over from-scratch
 //!   HyperLogLogs (related-work extension, §6.1).
-//! * [`statstack`] — StatStack's expected-stack-distance model (§6.1).
-//! * [`mimir`] — MIMIR's bucketed LRU stack (§6.1).
 //! * [`watchdog`] — online accuracy watchdog: a spatially-sampled shadow
 //!   Olken profiler that tracks a live KRR model's drift.
 //! * [`fleet_watchdog`] — the fleet-scale variant: shadows only the top-K
@@ -26,20 +24,16 @@ pub mod aet;
 pub mod counterstacks;
 pub mod fleet_watchdog;
 pub mod hll;
-pub mod mimir;
 pub mod olken;
 pub mod ostree;
 pub mod shards;
-pub mod statstack;
 pub mod watchdog;
 
 pub use aet::Aet;
 pub use counterstacks::CounterStacks;
 pub use fleet_watchdog::{FleetWatchdog, FleetWatchdogConfig};
 pub use hll::HyperLogLog;
-pub use mimir::Mimir;
 pub use olken::OlkenLru;
 pub use ostree::OsTreap;
 pub use shards::{Shards, ShardsMax};
-pub use statstack::StatStack;
 pub use watchdog::{AccuracyWatchdog, WatchdogConfig, WatchdogReport};

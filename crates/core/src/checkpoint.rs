@@ -254,11 +254,6 @@ impl CheckpointWriter {
         &mut self.sections.last_mut().expect("just pushed").1
     }
 
-    /// Adds a section with an already-encoded payload.
-    pub fn add_section(&mut self, tag: [u8; 4], payload: Enc) {
-        self.sections.push((tag, payload));
-    }
-
     /// Serializes magic, every section (tag, length, payload, CRC-32) and
     /// the END terminator to `w`.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {

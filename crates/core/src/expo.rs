@@ -597,7 +597,7 @@ fn respond(
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// Longest a client may take to send its whole request header. Requests
 /// are served inline on the one server thread, so without it a client
-/// trickling one byte per [`READ_TIMEOUT`] would hold every scrape off
+/// trickling one byte per `READ_TIMEOUT` (500 ms) would hold every scrape off
 /// for as long as it likes.
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
 

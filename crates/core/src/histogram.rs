@@ -156,9 +156,8 @@ impl SdHistogram {
     }
 
     /// Serializes the histogram into a `krr-ckpt-v1` payload (bin width,
-    /// cold count, total, raw bin counts). Unlike the `krr-sdh` text format
-    /// in [`crate::persist`], this is an O(bins) direct dump — suitable for
-    /// frequent checkpoints of histograms holding billions of references.
+    /// cold count, total, raw bin counts): an O(bins) direct dump, suitable
+    /// for frequent checkpoints of histograms holding billions of references.
     pub fn save_state(&self, enc: &mut crate::checkpoint::Enc) {
         enc.put_u64(self.bin_width)
             .put_u64(self.cold)

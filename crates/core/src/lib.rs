@@ -62,8 +62,8 @@
 //!   paper's §5.6–5.7 space-cost comparison.
 //! * [`heap`] — opt-in counting global allocator (`alloc-stats` feature)
 //!   behind the live/peak heap gauges.
-//! * [`persist`] — plain-text persistence for histograms, MRCs and
-//!   metrics snapshots.
+//! * [`persist`] — plain-text persistence for MRCs and metrics
+//!   snapshots.
 //! * [`checkpoint`] — the crash-safe `krr-ckpt-v1` binary checkpoint
 //!   format (CRC-guarded sections, atomic write-rename) behind
 //!   [`KrrModel::checkpoint`] / [`ShardedKrr::checkpoint`].
@@ -99,7 +99,6 @@ pub mod sharded;
 pub mod sizearray;
 pub mod stack;
 pub mod update;
-pub mod windowed;
 
 pub use checkpoint::{CheckpointReader, CheckpointWriter};
 pub use doctor::{diagnose, DoctorCounters, DoctorReport, Finding};
@@ -119,4 +118,3 @@ pub use sharded::{shard_of_hash, ShardedKrr};
 pub use sizearray::SizeArray;
 pub use stack::{Access, Entry, KrrStack};
 pub use update::UpdaterKind;
-pub use windowed::WindowedKrr;

@@ -290,11 +290,6 @@ impl KrrModel {
         self.recorder = Some(recorder);
     }
 
-    /// Detaches and returns the flight-recorder handle, if any.
-    pub fn take_recorder(&mut self) -> Option<ThreadRecorder> {
-        self.recorder.take()
-    }
-
     /// The configuration in use.
     #[must_use]
     pub fn config(&self) -> &KrrConfig {

@@ -1,125 +1,16 @@
-//! Plain-text persistence for analysis artifacts: stack-distance
-//! histograms and MRCs.
+//! Plain-text persistence for analysis artifacts: MRCs as
+//! `cache_size,miss_ratio` CSV and metrics snapshots as `krr-metrics-v1`
+//! JSON lines.
 //!
-//! Online profilers export their histogram periodically (the MRC is a
-//! pure function of it), ship it off-box, and the analysis side rebuilds
-//! curves without replaying any traffic. The format is line-oriented,
-//! versioned, and deliberately trivial: no dependencies, greppable, and
-//! stable under append-only evolution.
-//!
-//! This module is for *analysis artifacts* meant to be read by humans and
-//! scripts. For crash-safe, bit-exact profiler state (RNG streams, stacks,
-//! counters) use the binary [`checkpoint`](crate::checkpoint) format
-//! instead — text round-trips of `f64`s and histograms are lossy by
-//! design here.
-//!
-//! ```text
-//! krr-sdh v1
-//! bin_width 1
-//! cold 42
-//! bin 0 17        # count of distances in bin 0
-//! bin 7 3
-//! end
-//! ```
+//! These are meant to be read by humans and scripts: the CLI writes MRCs
+//! with [`write_mrc`], `krr partition` reads them back with [`read_mrc`],
+//! and `/mrc?format=csv` serves the same bytes. For crash-safe, bit-exact
+//! profiler state (RNG streams, stacks, histograms, counters) use the
+//! binary [`checkpoint`](crate::checkpoint) format instead.
 
-use crate::histogram::SdHistogram;
 use crate::metrics::MetricsSnapshot;
 use crate::mrc::Mrc;
 use std::io::{self, BufRead, Write};
-
-/// Writes a histogram in the `krr-sdh v1` text format.
-pub fn write_histogram<W: Write>(mut w: W, hist: &SdHistogram) -> io::Result<()> {
-    writeln!(w, "krr-sdh v1")?;
-    writeln!(w, "bin_width {}", hist.bin_width())?;
-    writeln!(w, "cold {}", hist.cold())?;
-    for (b, (_, count)) in hist.iter().enumerate() {
-        if count > 0 {
-            writeln!(w, "bin {b} {count}")?;
-        }
-    }
-    writeln!(w, "end")
-}
-
-/// Reads a histogram written by [`write_histogram`].
-pub fn read_histogram<R: BufRead>(r: R) -> io::Result<SdHistogram> {
-    let bad = |line: usize, msg: &str| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("line {}: {msg}", line + 1),
-        )
-    };
-    let mut lines = Vec::new();
-    for l in r.lines() {
-        lines.push(l?);
-    }
-    let mut it = lines.iter().enumerate();
-    let (i, header) = it.next().ok_or_else(|| bad(0, "empty input"))?;
-    if header.trim() != "krr-sdh v1" {
-        return Err(bad(i, "expected header 'krr-sdh v1'"));
-    }
-    let mut bin_width: Option<u64> = None;
-    let mut cold = 0u64;
-    let mut bins: Vec<(usize, u64)> = Vec::new();
-    let mut ended = false;
-    for (i, line) in it {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("bin_width") => {
-                let v = parts
-                    .next()
-                    .ok_or_else(|| bad(i, "bin_width needs a value"))?;
-                bin_width = Some(v.parse().map_err(|_| bad(i, "bad bin_width"))?);
-            }
-            Some("cold") => {
-                let v = parts.next().ok_or_else(|| bad(i, "cold needs a value"))?;
-                cold = v.parse().map_err(|_| bad(i, "bad cold count"))?;
-            }
-            Some("bin") => {
-                let idx: usize = parts
-                    .next()
-                    .ok_or_else(|| bad(i, "bin needs an index"))?
-                    .parse()
-                    .map_err(|_| bad(i, "bad bin index"))?;
-                let count: u64 = parts
-                    .next()
-                    .ok_or_else(|| bad(i, "bin needs a count"))?
-                    .parse()
-                    .map_err(|_| bad(i, "bad bin count"))?;
-                bins.push((idx, count));
-            }
-            Some("end") => {
-                ended = true;
-                break;
-            }
-            Some(other) => return Err(bad(i, &format!("unknown record {other:?}"))),
-            None => {}
-        }
-    }
-    if !ended {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "missing 'end' marker",
-        ));
-    }
-    let w = bin_width.ok_or_else(|| bad(0, "missing bin_width"))?;
-    let mut hist = SdHistogram::new(w);
-    for (idx, count) in bins {
-        // Reconstruct counts through the public API: one record per unit at
-        // a distance inside the bin.
-        let d = (idx as u64) * w + 1;
-        for _ in 0..count {
-            hist.record(d);
-        }
-    }
-    for _ in 0..cold {
-        hist.record_cold();
-    }
-    Ok(hist)
-}
 
 /// Writes a metrics snapshot as one JSON document (`krr-metrics-v1`
 /// schema, see [`MetricsSnapshot::to_json`]) followed by a newline, so a
@@ -169,49 +60,6 @@ pub fn read_mrc<R: BufRead>(r: R) -> io::Result<Mrc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_roundtrip() {
-        let mut h = SdHistogram::new(4);
-        for d in [1u64, 2, 9, 9, 33, 120] {
-            h.record(d);
-        }
-        h.record_cold();
-        h.record_cold();
-        let mut buf = Vec::new();
-        write_histogram(&mut buf, &h).unwrap();
-        let back = read_histogram(buf.as_slice()).unwrap();
-        assert_eq!(back.total(), h.total());
-        assert_eq!(back.cold(), h.cold());
-        assert_eq!(back.bin_width(), h.bin_width());
-        for b in 0..h.num_bins() {
-            assert_eq!(back.bin(b), h.bin(b), "bin {b}");
-        }
-        // The derived MRCs must match exactly.
-        assert_eq!(
-            Mrc::from_histogram(&back, 1.0),
-            Mrc::from_histogram(&h, 1.0)
-        );
-    }
-
-    #[test]
-    fn histogram_rejects_garbage() {
-        assert!(read_histogram("not a header\n".as_bytes()).is_err());
-        assert!(
-            read_histogram("krr-sdh v1\nbin_width 1\n".as_bytes()).is_err(),
-            "missing end"
-        );
-        assert!(read_histogram("krr-sdh v1\nbin x y\nend\n".as_bytes()).is_err());
-        assert!(read_histogram("krr-sdh v1\nfrob 1\nend\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn histogram_tolerates_comments_and_blanks() {
-        let text = "krr-sdh v1\nbin_width 2\n# a comment\n\ncold 3\nbin 0 5\nend\n";
-        let h = read_histogram(text.as_bytes()).unwrap();
-        assert_eq!(h.total(), 8);
-        assert_eq!(h.cold(), 3);
-    }
 
     #[test]
     fn mrc_roundtrip() {

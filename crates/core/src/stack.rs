@@ -72,12 +72,6 @@ impl Access {
             Access::Hit { phi } => phi,
         }
     }
-
-    /// True if this was the first reference to the key.
-    #[must_use]
-    pub fn is_cold(&self) -> bool {
-        matches!(self, Access::Cold { .. })
-    }
 }
 
 /// Key → id table: linear probing over `u32` ids, compared through the

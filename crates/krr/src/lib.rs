@@ -46,9 +46,7 @@ pub use krr_core::{
 
 /// Common imports for applications.
 pub mod prelude {
-    pub use krr_baselines::{
-        Aet, CounterStacks, HyperLogLog, Mimir, OlkenLru, Shards, ShardsMax, StatStack,
-    };
+    pub use krr_baselines::{Aet, CounterStacks, HyperLogLog, OlkenLru, Shards, ShardsMax};
     pub use krr_core::{even_sizes, KrrConfig, KrrModel, Mrc, ShardedKrr, SizeMode, UpdaterKind};
     pub use krr_redis::{MiniRedis, SamplingMode};
     pub use krr_sim::{

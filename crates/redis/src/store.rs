@@ -429,21 +429,29 @@ impl MiniRedis {
     /// [`MiniRedis::apply_profile_queue`].
     pub fn get_for(&mut self, tenant: Option<u64>, key: u64) -> bool {
         self.ticks += 1;
-        self.metrics.accesses.inc();
         let clock = self.lru_clock();
         let (hit, size) = match self.dict.get_mut(key) {
             Some(e) => {
                 e.lru = clock;
                 self.stats.hits += 1;
-                self.metrics.hits.inc();
                 (true, e.size)
             }
             None => {
                 self.stats.misses += 1;
-                self.metrics.cold_misses.inc();
                 (false, 1)
             }
         };
+        // The `model.accesses`/`hits`/`cold_misses` rows have one writer:
+        // the KRR models when a profiler or fleet arena shares the
+        // registry, otherwise this GET path.
+        if self.profiler.is_none() && self.fleet.is_none() {
+            self.metrics.accesses.inc();
+            if hit {
+                self.metrics.hits.inc();
+            } else {
+                self.metrics.cold_misses.inc();
+            }
+        }
         if self.profiler.is_some()
             || self.fleet.is_some()
             || self.mrc_cell.is_some()
@@ -953,6 +961,29 @@ mod tests {
         // the per-shard counters.
         let snap = r.metrics().snapshot();
         assert_eq!(snap.shard_accesses.iter().sum::<u64>(), 6_000);
+    }
+
+    #[test]
+    fn profiled_gets_are_counted_once() {
+        let mut r = MiniRedis::new(1_000_000, 5, 13);
+        r.enable_mrc_profiling(&KrrConfig::new(5.0).seed(4), 2);
+        for k in 0..250u64 {
+            r.set(k, 100);
+        }
+        // 1,000 GETs: keys 0..500 twice, of which 500 find a stored key.
+        for _ in 0..2 {
+            for k in 0..500u64 {
+                r.get(k);
+            }
+        }
+        assert_eq!(r.stats().hits, 500);
+        r.apply_profile_queue();
+        let snap = r.metrics().snapshot();
+        assert_eq!(snap.accesses, 1_000);
+        assert_eq!(snap.shard_accesses.iter().sum::<u64>(), 1_000);
+        assert_eq!(snap.hits + snap.cold_misses, 1_000);
+        // The model rows are the profiler's: 500 first sights, 500 reuses.
+        assert_eq!((snap.hits, snap.cold_misses), (500, 500));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! alternative KRR competes with for K-LRU — and the only practical option
 //! for non-stack policies like sampled LFU (see [`crate::klfu`]).
 
-use crate::{Cache, CacheStats, Capacity};
+use crate::{Cache, Capacity};
 use krr_core::mrc::Mrc;
 use krr_core::sampling::SpatialFilter;
 use krr_trace::Request;
@@ -100,16 +100,6 @@ impl MiniSim {
             .collect()
     }
 
-    /// Per-capacity miss ratios without the count correction (the naive
-    /// ratio estimator; diagnostic use).
-    #[must_use]
-    pub fn raw_miss_ratios(&self) -> Vec<(u64, f64)> {
-        self.minis
-            .iter()
-            .map(|(c, cache)| (*c, cache.stats().miss_ratio()))
-            .collect()
-    }
-
     /// The interpolated MRC over the target capacities.
     #[must_use]
     pub fn mrc(&self) -> Mrc {
@@ -118,12 +108,6 @@ impl MiniSim {
         let mut mrc = Mrc::from_points(points);
         mrc.make_monotone();
         mrc
-    }
-
-    /// Aggregate stats of one miniature cache (test/diagnostic use).
-    #[must_use]
-    pub fn mini_stats(&self, idx: usize) -> CacheStats {
-        self.minis[idx].1.stats()
     }
 }
 

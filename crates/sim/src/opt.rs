@@ -2,8 +2,9 @@
 //!
 //! OPT *is* a stack algorithm (Mattson's priority = next reference time),
 //! but efficient one-pass OPT stack distances need the Sugumar–Abraham
-//! machinery; since OPT here serves as a reference curve for the policy
-//! zoo, we simulate it directly per cache size: next-use times are
+//! machinery; since OPT here serves only as the reference that
+//! `tests/properties.rs` checks LRU against, we simulate it directly per
+//! cache size: next-use times are
 //! precomputed in a backward pass, and eviction picks the resident with the
 //! furthest next use via an ordered set — O(N·logC) per size. Bypass is
 //! allowed (an incoming object whose next use is furthest is not inserted),
@@ -12,7 +13,6 @@
 
 use crate::CacheStats;
 use krr_core::hashing::KeyMap;
-use krr_core::mrc::Mrc;
 use krr_trace::Request;
 use std::collections::BTreeSet;
 
@@ -70,19 +70,6 @@ pub fn simulate_opt(trace: &[Request], next: &[usize], capacity: u64) -> CacheSt
         resident.insert(r.key, this_next);
     }
     stats
-}
-
-/// OPT MRC over the given capacities.
-#[must_use]
-pub fn opt_mrc(trace: &[Request], capacities: &[u64]) -> Mrc {
-    let next = next_use_times(trace);
-    let mut points = vec![(0.0, 1.0)];
-    for &c in capacities {
-        points.push((c as f64, simulate_opt(trace, &next, c).miss_ratio()));
-    }
-    let mut mrc = Mrc::from_points(points);
-    mrc.make_monotone();
-    mrc
 }
 
 #[cfg(test)]
@@ -153,16 +140,5 @@ mod tests {
         let next = next_use_times(&trace);
         let stats = simulate_opt(&trace, &next, 500);
         assert_eq!(stats.misses, 500);
-    }
-
-    #[test]
-    fn opt_mrc_is_monotone() {
-        let trace = patterns::uniform_random(300, 20_000, 2);
-        let mrc = opt_mrc(&trace, &even_capacities(300, 10));
-        let mut prev = f64::INFINITY;
-        for &(_, m) in mrc.points() {
-            assert!(m <= prev + 1e-12);
-            prev = m;
-        }
     }
 }

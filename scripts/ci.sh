@@ -20,6 +20,9 @@ cargo fmt --check
 # Lint gate: clippy across every target (tests, benches, examples too),
 # warnings are errors.
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
+# `--all-targets` skips benches whose `required-features` are off; lint
+# the bench-ext ones (baselines, simulators, spatial) too.
+cargo clippy -q --offline -p krr-bench --features bench-ext --all-targets -- -D warnings
 # Documentation gate: every public item documented, no broken intra-doc
 # links, rendered cleanly.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace

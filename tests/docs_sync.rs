@@ -1,4 +1,5 @@
-//! Doc-sync: the architecture document must name every metric.
+//! Doc-sync: the architecture document must name every metric, and the
+//! design document's module table must name only modules that exist.
 //!
 //! `docs/ARCHITECTURE.md` carries the "Metric names → emitting code"
 //! tables operators navigate by; a metric that exists in the registry but
@@ -89,4 +90,64 @@ fn observability_doc_names_every_http_endpoint() {
             "artifact schema {artifact} missing from docs/OBSERVABILITY.md"
         );
     }
+}
+
+#[test]
+fn design_module_table_names_only_existing_modules() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let doc_text = std::fs::read_to_string(format!("{root}/DESIGN.md")).expect("DESIGN.md exists");
+    let table = doc_text
+        .split("\n## ")
+        .find(|s| s.starts_with("3. System inventory"))
+        .expect("DESIGN.md has the system inventory section");
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for row in table.lines().filter(|l| l.starts_with("| S")) {
+        if row.contains("deleted") {
+            continue;
+        }
+        // Code spans are the odd pieces between backticks.
+        for span in row.split('`').skip(1).step_by(2) {
+            let Some((krate, rest)) = span.strip_prefix("krr_").and_then(|s| s.split_once("::"))
+            else {
+                continue;
+            };
+            let paths: Vec<&str> = match rest.strip_prefix('{') {
+                Some(list) => list
+                    .trim_end_matches('}')
+                    .split(',')
+                    .map(str::trim)
+                    .collect(),
+                None => vec![rest],
+            };
+            for path in paths {
+                // Descend through module segments; a capitalised segment
+                // names an item inside the module reached so far.
+                let mut dir = format!("{root}/crates/{krate}/src");
+                for seg in path
+                    .split("::")
+                    .take_while(|s| !s.starts_with(char::is_uppercase))
+                {
+                    let file = format!("{dir}/{seg}.rs");
+                    dir = format!("{dir}/{seg}");
+                    let found = std::path::Path::new(&file).is_file()
+                        || std::path::Path::new(&format!("{dir}/mod.rs")).is_file();
+                    if !found {
+                        missing.push(format!("krr_{krate}::{path}"));
+                        break;
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md's module table names modules with no source file (mark \
+         the row \"deleted (was ...)\" or fix the path): {missing:?}"
+    );
+    assert!(
+        checked >= 30,
+        "only {checked} module paths found in DESIGN.md"
+    );
 }

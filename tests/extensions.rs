@@ -127,36 +127,6 @@ fn hll_cardinalities_power_counterstacks_cold_counts() {
 }
 
 #[test]
-fn statstack_and_aet_and_olken_agree_on_zipf() {
-    let keys = 10_000u64;
-    let trace = ycsb::WorkloadC::new(keys, 0.99).generate(200_000, 8);
-    let mut ss = StatStack::new();
-    let mut o = OlkenLru::new();
-    for r in &trace {
-        ss.access_key(r.key);
-        o.access_key(r.key);
-    }
-    let sizes = even_sizes(keys as f64, 20);
-    let mae = ss.mrc().mae(&o.mrc(), &sizes);
-    assert!(mae < 0.03, "StatStack vs Olken MAE {mae}");
-}
-
-#[test]
-fn mimir_tracks_olken_on_msr() {
-    let trace = msr::profile(msr::MsrTrace::Prxy).generate(200_000, 9, 0.05);
-    let (objects, _) = krr::sim::working_set(&trace);
-    let mut m = Mimir::new(128);
-    let mut o = OlkenLru::new();
-    for r in &trace {
-        m.access_key(r.key);
-        o.access_key(r.key);
-    }
-    let sizes = even_sizes(objects as f64, 20);
-    let mae = m.mrc().mae(&o.mrc(), &sizes);
-    assert!(mae < 0.05, "MIMIR vs Olken MAE {mae}");
-}
-
-#[test]
 fn sharded_krr_matches_plain_krr_cross_crate() {
     let trace = msr::profile(msr::MsrTrace::Web).generate(300_000, 10, 0.05);
     let (objects, _) = krr::sim::working_set(&trace);
@@ -171,22 +141,6 @@ fn sharded_krr_matches_plain_krr_cross_crate() {
     let sizes = even_sizes(objects as f64, 20);
     let mae = sharded.mrc().mae(&plain.mrc(), &sizes);
     assert!(mae < 0.03, "sharded vs plain MAE {mae}");
-}
-
-#[test]
-fn histogram_persistence_roundtrips_a_real_model() {
-    let trace = ycsb::WorkloadC::new(5_000, 0.9).generate(100_000, 12);
-    let mut model = KrrModel::new(KrrConfig::new(5.0).seed(13));
-    for r in &trace {
-        model.access_key(r.key);
-    }
-    let mut buf = Vec::new();
-    krr::core::persist::write_histogram(&mut buf, model.histogram()).unwrap();
-    let back = krr::core::persist::read_histogram(buf.as_slice()).unwrap();
-    let original = model.mrc();
-    let mut restored = Mrc::from_histogram(&back, 1.0);
-    restored.make_monotone();
-    assert_eq!(original.points(), restored.points());
 }
 
 #[test]

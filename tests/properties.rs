@@ -283,31 +283,6 @@ fn trace_io_roundtrip() {
     });
 }
 
-/// Histogram persistence roundtrips arbitrary histograms.
-#[test]
-fn histogram_persist_roundtrip() {
-    check("histogram_persist_roundtrip", 32, |g| {
-        let distances = g.vec(0, 200, |g| g.u64(1, 100_000));
-        let colds = g.u64(0, 30);
-        let width = g.u64(1, 64);
-        let mut h = krr::core::SdHistogram::new(width);
-        for &d in &distances {
-            h.record(d);
-        }
-        for _ in 0..colds {
-            h.record_cold();
-        }
-        let mut buf = Vec::new();
-        krr::core::persist::write_histogram(&mut buf, &h).unwrap();
-        let back = krr::core::persist::read_histogram(buf.as_slice()).unwrap();
-        assert_eq!(back.total(), h.total());
-        assert_eq!(back.cold(), h.cold());
-        for b in 0..h.num_bins() {
-            assert_eq!(back.bin(b), h.bin(b));
-        }
-    });
-}
-
 /// Histogram merge is commutative and totals add up.
 #[test]
 fn histogram_merge_commutes() {
@@ -330,25 +305,6 @@ fn histogram_merge_commutes() {
         for b in 0..ab.num_bins().max(ba.num_bins()) {
             assert_eq!(ab.bin(b), ba.bin(b), "bin {b}");
         }
-    });
-}
-
-/// The generic sampled cache with LruScore respects capacity and
-/// accounting for arbitrary request streams.
-#[test]
-fn generic_sampled_cache_capacity() {
-    check("generic_sampled_cache_capacity", 32, |g| {
-        use krr::sim::sampled::{LruScore, SampledCache};
-        let reqs = g.vec(1, 400, |g| (g.u64(0, 200), g.u32(1, 300)));
-        let cap = g.u64(100, 5_000);
-        let k = g.u32(1, 12);
-        let mut c = SampledCache::new(Capacity::Bytes(cap), k, LruScore, 5);
-        for &(key, size) in &reqs {
-            c.access(&Request::get(key, size));
-            assert!(c.used_bytes() <= cap);
-        }
-        let st = c.stats();
-        assert_eq!(st.hits + st.misses, reqs.len() as u64);
     });
 }
 
