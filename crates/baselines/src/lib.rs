@@ -9,9 +9,9 @@
 //! * [`counterstacks`] / [`hll`] — CounterStacks over from-scratch
 //!   HyperLogLogs (related-work extension, §6.1).
 //! * [`watchdog`] — online accuracy watchdog: a spatially-sampled shadow
-//!   Olken profiler that tracks a live KRR model's drift.
-//! * [`fleet_watchdog`] — the fleet-scale variant: shadows only the top-K
-//!   tenants of a [`krr_core::fleet::FleetArena`] by traffic.
+//!   Olken profiler that tracks a live KRR model's drift. A library
+//!   piece: `examples/online_profiler.rs` drives it beside a model; no
+//!   server or CLI path turns it on.
 //!
 //! All of these model *exact* LRU; the paper's point (Fig 5.2a) is that for
 //! Type A workloads and small K they misestimate a K-LRU cache badly, which
@@ -22,7 +22,6 @@
 
 pub mod aet;
 pub mod counterstacks;
-pub mod fleet_watchdog;
 pub mod hll;
 pub mod olken;
 pub mod ostree;
@@ -31,7 +30,6 @@ pub mod watchdog;
 
 pub use aet::Aet;
 pub use counterstacks::CounterStacks;
-pub use fleet_watchdog::{FleetWatchdog, FleetWatchdogConfig};
 pub use hll::HyperLogLog;
 pub use olken::OlkenLru;
 pub use ostree::OsTreap;

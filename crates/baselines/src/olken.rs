@@ -7,7 +7,6 @@
 //! bound for *exact* LRU MRCs.
 
 use crate::ostree::OsTreap;
-use krr_core::checkpoint::{Dec, Enc};
 use krr_core::hashing::KeyMap;
 use krr_core::histogram::SdHistogram;
 use krr_core::mrc::Mrc;
@@ -85,51 +84,6 @@ impl OlkenLru {
     pub fn histogram(&self) -> &SdHistogram {
         &self.hist
     }
-
-    /// Serializes the profiler into a `krr-ckpt-v1` payload: clock,
-    /// histogram, and the `(key, last-access-time)` map sorted by time so
-    /// identical state always yields identical bytes. The order-statistic
-    /// tree is derivable (it holds exactly the map's time values) and not
-    /// stored.
-    pub fn save_state(&self, enc: &mut Enc) {
-        enc.put_u64(self.clock);
-        self.hist.save_state(enc);
-        let mut pairs: Vec<(u64, u64)> = self.last.iter().map(|(&k, &t)| (k, t)).collect();
-        pairs.sort_unstable_by_key(|&(_, t)| t);
-        enc.put_u64(pairs.len() as u64);
-        for (k, t) in pairs {
-            enc.put_u64(k).put_u64(t);
-        }
-    }
-
-    /// Reconstructs a profiler from an [`OlkenLru::save_state`] payload,
-    /// rebuilding the order-statistic tree from the stored access times.
-    /// Tree shape may differ from the original (treap priorities), but
-    /// rank queries — and therefore every future distance — are identical.
-    pub fn load_state(dec: &mut Dec<'_>) -> std::io::Result<Self> {
-        let clock = dec.u64()?;
-        let hist = SdHistogram::load_state(dec)?;
-        let n = dec.u64()?;
-        let mut last = KeyMap::default();
-        let mut tree = OsTreap::new();
-        for _ in 0..n {
-            let key = dec.u64()?;
-            let time = dec.u64()?;
-            if last.insert(key, time).is_some() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "duplicate key in Olken checkpoint",
-                ));
-            }
-            tree.insert(time);
-        }
-        Ok(Self {
-            tree,
-            last,
-            hist,
-            clock,
-        })
-    }
 }
 
 impl krr_core::footprint::Footprint for OlkenLru {
@@ -188,26 +142,6 @@ mod tests {
         let sizes: Vec<f64> = caps.iter().map(|&c| c as f64).collect();
         let mae = o.mrc().mae(&sim, &sizes);
         assert!(mae < 0.002, "Olken vs LRU simulation MAE {mae}");
-    }
-
-    #[test]
-    fn save_load_resumes_identically() {
-        use krr_core::rng::Xoshiro256;
-        let mut a = OlkenLru::new();
-        let mut rng = Xoshiro256::seed_from_u64(8);
-        for _ in 0..5000 {
-            a.access_key(rng.below(400));
-        }
-        let mut enc = Enc::new();
-        a.save_state(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut b = OlkenLru::load_state(&mut Dec::new(&bytes)).unwrap();
-        assert_eq!(b.distinct(), a.distinct());
-        for _ in 0..5000 {
-            let key = rng.below(400);
-            assert_eq!(a.access_key(key), b.access_key(key));
-        }
-        assert_eq!(a.mrc().points(), b.mrc().points());
     }
 
     #[test]

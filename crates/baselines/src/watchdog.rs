@@ -42,7 +42,6 @@
 use krr_core::hashing::hash_key;
 use krr_core::metrics::MetricsRegistry;
 use krr_core::mrc::{even_sizes, Mrc};
-use krr_core::obs::{Phase, ThreadRecorder};
 use krr_core::sampling::SpatialFilter;
 use std::sync::Arc;
 
@@ -101,7 +100,6 @@ pub struct AccuracyWatchdog {
     next_check: u64,
     last: Option<WatchdogReport>,
     metrics: Option<Arc<MetricsRegistry>>,
-    recorder: Option<ThreadRecorder>,
 }
 
 impl AccuracyWatchdog {
@@ -128,7 +126,6 @@ impl AccuracyWatchdog {
             next_check,
             last: None,
             metrics: None,
-            recorder: None,
         }
     }
 
@@ -137,22 +134,11 @@ impl AccuracyWatchdog {
         self.metrics = Some(metrics);
     }
 
-    /// Records [`Phase::WatchdogCheck`] spans for each comparison.
-    pub fn set_recorder(&mut self, recorder: ThreadRecorder) {
-        self.recorder = Some(recorder);
-    }
-
     /// Offers one reference; the spatial filter decides whether the shadow
     /// profiler sees it. Returns whether it was admitted.
     pub fn observe(&mut self, key: u64) -> bool {
-        self.observe_hashed(key, hash_key(key))
-    }
-
-    /// [`AccuracyWatchdog::observe`] with a precomputed
-    /// [`hash_key`] value (route-once callers).
-    pub fn observe_hashed(&mut self, key: u64, key_hash: u64) -> bool {
         self.observed += 1;
-        if !self.filter.admits_hashed(key_hash) {
+        if !self.filter.admits_hashed(hash_key(key)) {
             return false;
         }
         self.shadow.access_key(key);
@@ -185,7 +171,6 @@ impl AccuracyWatchdog {
     /// the result to the attached metrics registry, and reschedules the
     /// next check. An idle shadow (nothing admitted yet) reports MAE 0.
     pub fn check(&mut self, krr: &Mrc) -> WatchdogReport {
-        let r0 = self.recorder.as_ref().map(ThreadRecorder::now_ns);
         let scale = 1.0 / self.filter.rate();
         let shadow = self.shadow.mrc_scaled(scale);
         let max = shadow.max_size().max(krr.max_size());
@@ -211,92 +196,10 @@ impl AccuracyWatchdog {
             }
             m.publish_footprint(&krr_core::footprint::Footprint::footprint(self));
         }
-        if let (Some(rec), Some(r0)) = (&self.recorder, r0) {
-            rec.record_since(Phase::WatchdogCheck, r0, (mae * 1e6).round() as u64);
-        }
         self.next_check =
             (self.observed / self.config.check_every.max(1) + 1) * self.config.check_every.max(1);
         self.last = Some(report);
         report
-    }
-
-    /// Serializes the watchdog — config, schedule counters, last report,
-    /// and the shadow Olken profiler — into a `krr-ckpt-v1` payload (the
-    /// `WDOG` checkpoint section).
-    pub fn save_state(&self, enc: &mut krr_core::checkpoint::Enc) {
-        enc.put_f64(self.config.rate)
-            .put_u64(self.config.check_every)
-            .put_f64(self.config.mae_threshold)
-            .put_u64(self.config.eval_points as u64)
-            .put_u64(self.observed)
-            .put_u64(self.shadow_refs)
-            .put_u64(self.checks)
-            .put_u64(self.next_check);
-        match &self.last {
-            None => {
-                enc.put_u8(0);
-            }
-            Some(r) => {
-                enc.put_u8(1)
-                    .put_f64(r.mae)
-                    .put_u8(u8::from(r.drifted))
-                    .put_u64(r.checks)
-                    .put_u64(r.shadow_refs);
-            }
-        }
-        self.shadow.save_state(enc);
-    }
-
-    /// Reconstructs a watchdog from an [`AccuracyWatchdog::save_state`]
-    /// payload. The spatial filter is rebuilt from the stored rate;
-    /// metrics/recorder start detached — re-attach with
-    /// [`AccuracyWatchdog::set_metrics`] / [`AccuracyWatchdog::set_recorder`].
-    pub fn load_state(dec: &mut krr_core::checkpoint::Dec<'_>) -> std::io::Result<Self> {
-        let config = WatchdogConfig {
-            rate: dec.f64()?,
-            check_every: dec.u64()?,
-            mae_threshold: dec.f64()?,
-            eval_points: usize::try_from(dec.u64()?).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "eval_points overflow")
-            })?,
-        };
-        if !(config.rate > 0.0 && config.rate <= 1.0) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "watchdog rate out of (0, 1] in checkpoint",
-            ));
-        }
-        let filter = if config.rate >= 1.0 {
-            SpatialFilter::all()
-        } else {
-            SpatialFilter::with_rate(config.rate)
-        };
-        let observed = dec.u64()?;
-        let shadow_refs = dec.u64()?;
-        let checks = dec.u64()?;
-        let next_check = dec.u64()?;
-        let last = match dec.u8()? {
-            0 => None,
-            _ => Some(WatchdogReport {
-                mae: dec.f64()?,
-                drifted: dec.u8()? != 0,
-                checks: dec.u64()?,
-                shadow_refs: dec.u64()?,
-            }),
-        };
-        let shadow = OlkenLru::load_state(dec)?;
-        Ok(Self {
-            config,
-            filter,
-            shadow,
-            observed,
-            shadow_refs,
-            checks,
-            next_check,
-            last,
-            metrics: None,
-            recorder: None,
-        })
     }
 }
 
@@ -395,34 +298,6 @@ mod tests {
         let report = dog.last_report().expect("checks ran");
         assert!(report.drifted, "K=1 vs exact LRU must exceed MAE 0.01");
         assert!(reg.snapshot().watchdog_drift_events >= 1);
-    }
-
-    #[test]
-    fn save_load_preserves_schedule_and_shadow() {
-        let mut model = KrrModel::new(KrrConfig::new(8.0));
-        let mut a = AccuracyWatchdog::new(WatchdogConfig {
-            rate: 0.5,
-            check_every: 10_000,
-            mae_threshold: 0.08,
-            eval_points: 16,
-        });
-        drive(&mut model, &mut a, 5_000, 35_000, 17);
-        let mut enc = krr_core::checkpoint::Enc::new();
-        a.save_state(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut b =
-            AccuracyWatchdog::load_state(&mut krr_core::checkpoint::Dec::new(&bytes)).unwrap();
-        assert_eq!(b.observed(), a.observed());
-        assert_eq!(b.last_report(), a.last_report());
-        assert_eq!(b.check_due(), a.check_due());
-        // Both copies must keep evolving identically.
-        drive(&mut model, &mut a, 5_000, 20_000, 18);
-        let mut model_b = KrrModel::new(KrrConfig::new(8.0));
-        // model state differs between arms only through its own references;
-        // feed b the same keys via a second drive with the same seed.
-        drive(&mut model_b, &mut b, 5_000, 20_000, 18);
-        assert_eq!(a.observed(), b.observed());
-        assert_eq!(a.shadow_refs, b.shadow_refs);
     }
 
     #[test]

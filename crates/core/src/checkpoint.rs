@@ -3,8 +3,8 @@
 //! A long-running profiler (days over a Twitter-scale stream) must survive
 //! restarts without replaying the trace. This module provides the framing
 //! shared by every checkpointable component: [`KrrModel`](crate::KrrModel),
-//! [`ShardedKrr`](crate::ShardedKrr), the metrics registry, the accuracy
-//! watchdog, and the mini-Redis store. The design goals, in order:
+//! [`ShardedKrr`](crate::ShardedKrr), the metrics registry, and the
+//! mini-Redis store. The design goals, in order:
 //!
 //! 1. **Crash safety.** Files are written to a temporary sibling and
 //!    atomically renamed into place ([`CheckpointWriter::write_atomic`]),
@@ -64,8 +64,6 @@ pub const SECTION_MODEL: [u8; 4] = *b"MODL";
 pub const SECTION_SHARDED: [u8; 4] = *b"SHRD";
 /// Section tag: a [`crate::metrics::MetricsSnapshot`].
 pub const SECTION_METRICS: [u8; 4] = *b"METR";
-/// Section tag: accuracy-watchdog state (config, schedule, shadow Olken).
-pub const SECTION_WATCHDOG: [u8; 4] = *b"WDOG";
 /// Section tag: trace-stream position (refs seen, byte offset, line
 /// number, stats rows) written by `krr model --checkpoint-every`.
 pub const SECTION_STREAM: [u8; 4] = *b"STRM";
@@ -219,6 +217,18 @@ impl<'a> Dec<'a> {
         self.take(n)
     }
 
+    /// Reads a `u64` count of items that take at least `item_bytes` (> 0)
+    /// bytes each, and rejects it unless the bytes left can hold that many,
+    /// so a decoder can reserve `count` items without trusting a corrupt
+    /// or crafted length. `what` names the count in the error.
+    pub(crate) fn count(&mut self, item_bytes: usize, what: &str) -> io::Result<usize> {
+        let n = self.u64()?;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= self.remaining() / item_bytes)
+            .ok_or_else(|| bad_data(format!("{what} {n} exceeds the checkpoint payload")))
+    }
+
     /// Bytes not yet consumed.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -329,10 +339,15 @@ impl CheckpointReader {
             let mut len = [0u8; 8];
             read_exact(&mut r, &mut len)?;
             let len = u64::from_le_bytes(len);
-            let len = usize::try_from(len)
-                .map_err(|_| bad_data("checkpoint section length overflows usize"))?;
-            let mut payload = vec![0u8; len];
-            read_exact(&mut r, &mut payload)?;
+            // Read through `take` instead of pre-sizing the buffer from the
+            // untrusted length: the buffer grows only with bytes present.
+            let mut payload = Vec::new();
+            if (&mut r).take(len).read_to_end(&mut payload)? as u64 != len {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "truncated checkpoint",
+                ));
+            }
             let mut crc = [0u8; 4];
             read_exact(&mut r, &mut crc)?;
             if u32::from_le_bytes(crc) != crc32(&payload) {
@@ -474,6 +489,18 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut={cut}");
             assert!(err.to_string().contains("truncated"), "cut={cut}: {err}");
         }
+    }
+
+    #[test]
+    fn huge_section_length_is_truncation_not_allocation() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION);
+        bytes.extend_from_slice(&SECTION_MODEL);
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        let err = CheckpointReader::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //!   [`TenantRow`] per tenant into the attached [`MetricsRegistry`]
 //!   (rendered as `tenant.*` JSON, `# tenant` INFO lines, and
 //!   `{tenant="..."}`-labeled OpenMetrics series) and rolls per-tenant
-//!   [`Footprint`] accounting into the `memory.tenant.*` gauges.
+//!   [`Footprint`] accounting into the `memory.tenant.*` gauges. A row's
+//!   `drift_events`, `mae_ppm` and `shadowed` columns read 0/`false`:
+//!   nothing produces them.
 //!   [`FleetArena::view`] publishes per-tenant MRCs to a [`FleetCell`] for
 //!   the expo server's `/tenants` and `/mrc?tenant=ID` endpoints.
 //!
@@ -48,8 +50,6 @@
 //!     }
 //! }
 //! assert_eq!(fleet.len(), 16);
-//! let hot = fleet.hottest(4);
-//! assert_eq!(hot.len(), 4);
 //! assert!(fleet.tenant_mrc(0).is_some());
 //! ```
 
@@ -110,9 +110,6 @@ impl FleetConfig {
 struct TenantMeta {
     id: u64,
     refs: u64,
-    drift_events: u64,
-    mae_ppm: u64,
-    shadowed: bool,
 }
 
 /// A tenant arena: one lightweight [`KrrModel`] per tenant id, with
@@ -207,9 +204,6 @@ impl FleetArena {
         self.meta.push(TenantMeta {
             id: tenant,
             refs: 0,
-            drift_events: 0,
-            mae_ppm: 0,
-            shadowed: false,
         });
         self.index.insert(tenant, slot);
         slot
@@ -218,18 +212,9 @@ impl FleetArena {
     /// Offers one reference (sequential path): the key is hashed once and
     /// routed to `tenant`'s model.
     pub fn access(&mut self, tenant: u64, key: u64, size: u32) {
-        let h = hash_key(key);
-        self.access_hashed(tenant, key, size, h);
-    }
-
-    /// [`FleetArena::access`] with the key hash precomputed. `key_hash`
-    /// MUST equal `hash_key(key)` — the tenant model's spatial filter
-    /// consumes its low bits, same contract as
-    /// [`KrrModel::access_hashed`].
-    pub fn access_hashed(&mut self, tenant: u64, key: u64, size: u32, key_hash: u64) {
         let slot = self.register(tenant);
         self.meta[slot].refs += 1;
-        self.models[slot].access_hashed(key, size, key_hash);
+        self.models[slot].access_hashed(key, size, hash_key(key));
     }
 
     /// Processes an in-memory multi-tenant trace of `(tenant, key, size)`
@@ -320,33 +305,6 @@ impl FleetArena {
         self.tenant_model(tenant).map(KrrModel::mrc)
     }
 
-    /// Marks whether the accuracy watchdog currently shadows `tenant`
-    /// (no-op if unregistered). Driven by the top-K selection of
-    /// `krr-baselines`' fleet watchdog.
-    pub fn set_shadowed(&mut self, tenant: u64, shadowed: bool) {
-        if let Some(&s) = self.index.get(&tenant) {
-            self.meta[s].shadowed = shadowed;
-        }
-    }
-
-    /// Records a watchdog check result against `tenant`: updates its MAE
-    /// gauge and, when `drifted`, its drift-event count (no-op if
-    /// unregistered).
-    pub fn record_check(&mut self, tenant: u64, mae_ppm: u64, drifted: bool) {
-        if let Some(&s) = self.index.get(&tenant) {
-            self.meta[s].mae_ppm = mae_ppm;
-            if drifted {
-                self.meta[s].drift_events += 1;
-            }
-        }
-    }
-
-    /// Drift events recorded against `tenant` (`None` if unregistered).
-    #[must_use]
-    pub fn tenant_drift_events(&self, tenant: u64) -> Option<u64> {
-        self.index.get(&tenant).map(|&s| self.meta[s].drift_events)
-    }
-
     fn row(&self, slot: usize, mrc: &Mrc) -> TenantRow {
         let t = &self.meta[slot];
         let m = &self.models[slot];
@@ -356,9 +314,11 @@ impl FleetArena {
             resident: m.stats().distinct,
             resident_bytes: m.deep_bytes() as u64,
             miss_ratio_ppm: (mrc.eval(self.config.budget) * 1e6).round() as u64,
-            drift_events: t.drift_events,
-            mae_ppm: t.mae_ppm,
-            shadowed: t.shadowed,
+            // Nothing produces these; the columns stay because the
+            // krr-metrics-v1 schema only grows.
+            drift_events: 0,
+            mae_ppm: 0,
+            shadowed: false,
         }
     }
 
@@ -366,44 +326,6 @@ impl FleetArena {
     #[must_use]
     pub fn summary(&self) -> Vec<TenantRow> {
         (0..self.meta.len())
-            .map(|s| {
-                let mrc = self.models[s].mrc();
-                self.row(s, &mrc)
-            })
-            .collect()
-    }
-
-    /// The top `k` tenants by traffic (reference count, ties broken by
-    /// tenant id for determinism), hottest first.
-    #[must_use]
-    pub fn hottest(&self, k: usize) -> Vec<TenantRow> {
-        let mut order: Vec<usize> = (0..self.meta.len()).collect();
-        order.sort_by_key(|&s| (std::cmp::Reverse(self.meta[s].refs), self.meta[s].id));
-        order.truncate(k);
-        order
-            .into_iter()
-            .map(|s| {
-                let mrc = self.models[s].mrc();
-                self.row(s, &mrc)
-            })
-            .collect()
-    }
-
-    /// The top `k` tenants by drift (drift events, then MAE, ties broken
-    /// by tenant id), most drifted first.
-    #[must_use]
-    pub fn most_drifted(&self, k: usize) -> Vec<TenantRow> {
-        let mut order: Vec<usize> = (0..self.meta.len()).collect();
-        order.sort_by_key(|&s| {
-            (
-                std::cmp::Reverse(self.meta[s].drift_events),
-                std::cmp::Reverse(self.meta[s].mae_ppm),
-                self.meta[s].id,
-            )
-        });
-        order.truncate(k);
-        order
-            .into_iter()
             .map(|s| {
                 let mrc = self.models[s].mrc();
                 self.row(s, &mrc)
@@ -575,27 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn hottest_and_drifted_views_are_ordered() {
-        let mut fleet = FleetArena::new(FleetConfig::new(KrrConfig::new(5.0).seed(1)));
-        for t in 0..10u64 {
-            for k in 0..=(t * 10) {
-                fleet.access(t, k, 1);
-            }
-        }
-        let hot = fleet.hottest(3);
-        assert_eq!(hot.len(), 3);
-        assert_eq!(hot[0].id, 9);
-        assert_eq!(hot[1].id, 8);
-        assert_eq!(hot[2].id, 7);
-        fleet.record_check(4, 20_000, true);
-        fleet.record_check(2, 9_000, false);
-        let drifted = fleet.most_drifted(2);
-        assert_eq!(drifted[0].id, 4);
-        assert_eq!(drifted[0].drift_events, 1);
-        assert_eq!(drifted[1].id, 2, "MAE breaks the zero-drift tie");
-    }
-
-    #[test]
     fn rows_flow_into_registry_and_renderings() {
         let reg = Arc::new(MetricsRegistry::new());
         let mut fleet = FleetArena::new(FleetConfig::new(KrrConfig::new(5.0).seed(3)));
@@ -661,7 +562,6 @@ mod tests {
         fleet.process_parallel(&[], 4);
         assert!(fleet.is_empty());
         assert_eq!(fleet.summary().len(), 0);
-        assert!(fleet.hottest(5).is_empty());
         assert!(fleet.tenant_mrc(0).is_none());
     }
 }

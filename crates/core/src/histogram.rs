@@ -179,9 +179,7 @@ impl SdHistogram {
         }
         let cold = dec.u64()?;
         let total = dec.u64()?;
-        let n = usize::try_from(dec.u64()?).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "histogram length overflow")
-        })?;
+        let n = dec.count(8, "histogram bin count")?;
         let mut bins = Vec::with_capacity(n);
         for _ in 0..n {
             bins.push(dec.u64()?);
@@ -296,6 +294,20 @@ mod tests {
     fn empty_histogram_misses_everything() {
         let h = SdHistogram::new(1);
         assert_eq!(h.miss_ratio(100), 1.0);
+    }
+
+    #[test]
+    fn load_state_rejects_a_bin_count_beyond_the_payload() {
+        use crate::checkpoint::{Dec, Enc};
+        let mut enc = Enc::new();
+        enc.put_u64(1)
+            .put_u64(0)
+            .put_u64(0)
+            .put_u64(1 << 40)
+            .put_u64(7);
+        let bytes = enc.into_bytes();
+        let err = SdHistogram::load_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -78,7 +78,8 @@ pub enum Phase {
     Command = 7,
     /// Stats-timeline row emission (arg = row index).
     StatsTick = 8,
-    /// Accuracy-watchdog shadow comparison (arg = MAE in ppm).
+    /// Accuracy-watchdog shadow comparison (arg = MAE in ppm). Nothing
+    /// records it; id 9 stays part of `krr-trace-v1`.
     WatchdogCheck = 9,
     /// Worker blocked waiting on an empty ring (arg = worker index).
     RingWait = 10,

@@ -268,16 +268,16 @@ impl ShardedKrr {
     /// [`ShardedKrr::set_recorder`].
     pub fn load_state(dec: &mut Dec<'_>) -> std::io::Result<Self> {
         let config = KrrConfig::load_state(dec)?;
-        let n = usize::try_from(dec.u64()?).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "shard count overflow")
-        })?;
+        // A shard's payload is far longer than one byte; the bank grows
+        // only as shards decode, never from the stored count alone.
+        let n = dec.count(1, "shard count")?;
         if n == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "checkpoint has zero shards",
             ));
         }
-        let mut shards = Vec::with_capacity(n);
+        let mut shards = Vec::new();
         for _ in 0..n {
             shards.push(KrrModel::load_state(dec)?);
         }
@@ -473,6 +473,17 @@ mod tests {
         let bytes = enc.into_bytes();
         let err = ShardedKrr::load_state(&mut Dec::new(&bytes)).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_state_rejects_a_shard_count_beyond_the_payload() {
+        use crate::checkpoint::{Dec, Enc};
+        let mut enc = Enc::new();
+        KrrConfig::new(4.0).save_state(&mut enc);
+        enc.put_u64(1 << 40).put_u64(7);
+        let bytes = enc.into_bytes();
+        let err = ShardedKrr::load_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

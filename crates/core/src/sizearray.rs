@@ -171,7 +171,7 @@ impl SizeArray {
         }
         let total = dec.u64()?;
         let len = dec.u64()?;
-        let n = usize::try_from(dec.u64()?).map_err(|_| bad("sizeArray length overflow"))?;
+        let n = dec.count(16, "sizeArray bound count")?;
         let mut bounds = Vec::with_capacity(n);
         let mut sums = Vec::with_capacity(n);
         for _ in 0..n {
@@ -331,6 +331,20 @@ mod tests {
             sa.on_insert(s);
         }
         assert_eq!(sa.distance(3), 23); // interpolates between bound 2 and len 3
+    }
+
+    #[test]
+    fn load_state_rejects_a_bound_count_beyond_the_payload() {
+        use crate::checkpoint::{Dec, Enc};
+        let mut enc = Enc::new();
+        enc.put_u64(2)
+            .put_u64(0)
+            .put_u64(0)
+            .put_u64(1 << 40)
+            .put_u64(7);
+        let bytes = enc.into_bytes();
+        let err = SizeArray::load_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

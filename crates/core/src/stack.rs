@@ -440,11 +440,10 @@ impl KrrStack {
         let updater = UpdaterKind::from_tag(dec.u8()?)
             .ok_or_else(|| bad("unknown updater tag in checkpoint"))?;
         let rng = Xoshiro256::from_state([dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?]);
-        // Each entry is 12 bytes; bound the length by the payload before
-        // allocating, and keep ids below the index's empty marker.
-        let n = usize::try_from(dec.u64()?).map_err(|_| bad("stack length overflow"))?;
-        if n > dec.remaining() / 12 || n > u32::MAX as usize {
-            return Err(bad("stack length exceeds the checkpoint payload"));
+        // Each entry is 12 bytes; keep ids below the index's empty marker.
+        let n = dec.count(12, "stack length")?;
+        if n > u32::MAX as usize {
+            return Err(bad("stack length exceeds the id space"));
         }
         // The payload lists entries in stack order; assign ids in that
         // order, so the restored permutation starts out as the identity.

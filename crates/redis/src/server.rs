@@ -14,7 +14,7 @@
 //! [`MiniRedis::apply_profile_queue`]), and a connection that queued one
 //! applies the store's queue right after each reply write — after the last
 //! reply of a burst and before every blocking socket read — so a lone
-//! GET's reply is on the wire before the KRR update, watchdog check and
+//! GET's reply is on the wire before the KRR update, fleet access and
 //! exposition refresh run. `MRC`, `INFO`, `METRICS` and `BGSAVE` apply the
 //! queue before they read. Each drain that applies GETs is one
 //! [`Phase::ProfileDrain`] span on the connection's ring (arg = GETs
@@ -46,7 +46,7 @@
 //! tails are attributable.
 //!
 //! `BGSAVE` writes an atomic `krr-ckpt-v1` checkpoint of the whole store
-//! (keyspace, counters, profiler, watchdog) to the path configured with
+//! (keyspace, counters, profiler) to the path configured with
 //! [`MiniRedis::set_checkpoint_path`]; start a server from
 //! [`MiniRedis::restore_from`] to resume from one.
 //!
@@ -60,7 +60,7 @@
 //!
 //! Every server carries an always-on [`FlightRecorder`]: each connection
 //! thread records a [`Phase::Command`] span per command into its own
-//! lock-free ring, and the store's profiler/watchdog rings are attached at
+//! lock-free ring, and the store's profiler rings are attached at
 //! startup. `TRACE DUMP` drains everything as Chrome trace-event JSON.
 //! Commands slower than a configurable threshold (default 10 000 µs, the
 //! Redis default) also land in the slow log, queryable with `SLOWLOG GET`
@@ -161,7 +161,7 @@ pub struct Server {
 
 impl Server {
     /// Starts a server on an ephemeral localhost port. The server's flight
-    /// recorder is attached to the store, so profiler/watchdog activity
+    /// recorder is attached to the store, so profiler activity
     /// shows up in `TRACE DUMP` alongside per-command spans.
     pub fn start(mut store: MiniRedis) -> io::Result<Server> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;

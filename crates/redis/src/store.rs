@@ -18,29 +18,30 @@
 //! Online profiling runs one step behind the GETs it observes. A GET does
 //! the lookup and the hit/miss counters, then appends `(tenant, key,
 //! size)` to a FIFO; [`MiniRedis::apply_profile_queue`] later feeds each
-//! queued GET, in order, to the KRR profiler, the accuracy watchdog, the
-//! fleet arena and its watchdog, and runs the exposition refresh on every
-//! [`EXPO_REFRESH_EVERY`]th GET — exactly what a GET did inline before.
-//! The server applies the queue after writing a burst's replies; every
-//! reader of profiler state (`mrc_profile`, `publish_footprint`,
-//! `watchdog_report`, `fleet`, `save_checkpoint`) applies it first, and a
-//! GET applies it inline once it holds [`PROFILE_QUEUE_CAP`] entries. So
-//! every curve, verdict, view and checkpoint equals the inline profile's;
-//! only registry counters the profiler writes (`model`/`shards`/`updater`
-//! rows) advance at each drain instead of at each GET.
+//! queued GET, in order, to the KRR profiler and the fleet arena, and runs
+//! the exposition refresh on every [`EXPO_REFRESH_EVERY`]th GET — exactly
+//! what a GET did inline before. The server applies the queue after
+//! writing a burst's replies; every reader of profiler state
+//! (`mrc_profile`, `publish_footprint`, `fleet`, `save_checkpoint`)
+//! applies it first, and a GET applies it inline once it holds
+//! [`PROFILE_QUEUE_CAP`] entries. So every curve, view and checkpoint
+//! equals the inline profile's; only registry counters the profiler
+//! writes (`model`/`shards`/`updater` rows) advance at each drain instead
+//! of at each GET.
+//!
+//! Each `model.accesses`/`hits`/`cold_misses` row has one writer: the KRR
+//! profiler's shard models when profiling is on, otherwise the GET path.
+//! The fleet arena's tenant models never write into the store registry;
+//! the store publishes only their `tenant.*` rows.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::dict::Dict;
-use krr_baselines::fleet_watchdog::{FleetWatchdog, FleetWatchdogConfig};
-use krr_baselines::watchdog::{AccuracyWatchdog, WatchdogConfig, WatchdogReport};
 use krr_core::checkpoint::{
     CheckpointReader, CheckpointWriter, Dec, Enc, SECTION_METRICS, SECTION_SHARDED, SECTION_STORE,
-    SECTION_WATCHDOG,
 };
 use krr_core::fleet::{FleetArena, FleetCell, FleetConfig};
-use krr_core::hashing::hash_key;
 use krr_core::metrics::{MetricsRegistry, MetricsSnapshot};
 use krr_core::model::KrrConfig;
 use krr_core::mrc::Mrc;
@@ -143,9 +144,7 @@ pub struct MiniRedis {
     metrics: Arc<MetricsRegistry>,
     /// Optional online MRC profiler fed by the GET stream.
     profiler: Option<ShardedKrr>,
-    /// Optional shadow-Olken accuracy watchdog fed by the same stream.
-    watchdog: Option<AccuracyWatchdog>,
-    /// Optional flight recorder shared with the profiler and watchdog.
+    /// Optional flight recorder shared with the profiler.
     recorder: Option<Arc<FlightRecorder>>,
     /// Live-MRC cell for the exposition server; refreshed every
     /// [`EXPO_REFRESH_EVERY`] GETs while profiling is enabled.
@@ -153,8 +152,6 @@ pub struct MiniRedis {
     /// Optional multi-tenant profiling arena, fed by GETs on connections
     /// that selected a tenant (`TENANT` command).
     fleet: Option<FleetArena>,
-    /// Optional top-K fleet watchdog shadowing the hottest tenants.
-    fleet_dog: Option<FleetWatchdog>,
     /// Published fleet view for the exposition server's `/tenants` and
     /// `/mrc?tenant=` endpoints; refreshed with the MRC cell.
     fleet_cell: Option<Arc<FleetCell>>,
@@ -192,11 +189,9 @@ impl MiniRedis {
             checkpoint_path: None,
             metrics: Arc::new(MetricsRegistry::new()),
             profiler: None,
-            watchdog: None,
             recorder: None,
             mrc_cell: None,
             fleet: None,
-            fleet_dog: None,
             fleet_cell: None,
             profile_queue: Vec::new(),
         }
@@ -216,49 +211,18 @@ impl MiniRedis {
         self.profiler = Some(bank);
     }
 
-    /// Turns on the accuracy watchdog: a spatially-sampled shadow Olken
-    /// profiler observes the same GET stream as the MRC profiler and
-    /// periodically publishes the KRR-vs-shadow MAE (plus drift events)
-    /// into the store's metrics registry (`# watchdog` INFO section).
-    /// Checks only run while MRC profiling is enabled — without a KRR
-    /// curve there is nothing to compare.
-    pub fn enable_accuracy_watchdog(&mut self, config: WatchdogConfig) {
-        self.apply_profile_queue();
-        let mut dog = AccuracyWatchdog::new(config);
-        dog.set_metrics(Arc::clone(&self.metrics));
-        if let Some(rec) = &self.recorder {
-            dog.set_recorder(rec.register("watchdog"));
-        }
-        self.watchdog = Some(dog);
-    }
-
     /// Turns on multi-tenant fleet profiling: a per-tenant KRR arena
     /// observes GETs issued on connections that selected a tenant with the
     /// `TENANT` command, alongside (not instead of) the aggregate profiler.
-    /// Tenants materialize lazily at their first reference; per-tenant rows
-    /// land in the shared metrics registry (`# tenant` INFO section,
-    /// `krr_tenant_*` series) and, once a [`FleetCell`] is attached, in the
-    /// exposition server's `/tenants` and `/mrc?tenant=` endpoints.
+    /// Tenants materialize lazily at their first reference. The tenant
+    /// models keep their counters to themselves (see the module docs); the
+    /// per-tenant rows land in the store registry (`# tenant` INFO section,
+    /// `krr_tenant_*` series) at each exposition refresh and, once a
+    /// [`FleetCell`] is attached, in the exposition server's `/tenants` and
+    /// `/mrc?tenant=` endpoints.
     pub fn enable_fleet_profiling(&mut self, config: FleetConfig) {
         self.apply_profile_queue();
-        let mut arena = FleetArena::new(config);
-        arena.set_metrics(Arc::clone(&self.metrics));
-        if let Some(rec) = &self.recorder {
-            arena.set_recorder(Arc::clone(rec));
-        }
-        self.fleet = Some(arena);
-    }
-
-    /// Turns on the fleet watchdog: shadow Olken profilers beside the
-    /// top-K tenants by traffic (re-elected as traffic shifts), writing
-    /// MAE/drift verdicts back into the per-tenant rows. Requires
-    /// [`MiniRedis::enable_fleet_profiling`] to have been called — without
-    /// an arena there are no tenants to shadow.
-    pub fn enable_fleet_watchdog(&mut self, config: FleetWatchdogConfig) {
-        self.apply_profile_queue();
-        let mut dog = FleetWatchdog::new(config);
-        dog.set_metrics(Arc::clone(&self.metrics));
-        self.fleet_dog = Some(dog);
+        self.fleet = Some(FleetArena::new(config));
     }
 
     /// The fleet arena, if fleet profiling is enabled, with every queued
@@ -280,24 +244,12 @@ impl MiniRedis {
         self.fleet_cell = Some(cell);
     }
 
-    /// The watchdog's most recent comparison, if any have run, with every
-    /// queued GET applied.
-    pub fn watchdog_report(&mut self) -> Option<WatchdogReport> {
-        self.apply_profile_queue();
-        self.watchdog
-            .as_ref()
-            .and_then(AccuracyWatchdog::last_report)
-    }
-
     /// Attaches a flight recorder. The profiler bank (shard/router/worker
-    /// rings) and the watchdog pick it up immediately if already enabled;
-    /// enabling them later inherits it too.
+    /// rings) picks it up immediately if already enabled; enabling it later
+    /// inherits it too.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
         if let Some(p) = &mut self.profiler {
             p.set_recorder(Arc::clone(&recorder));
-        }
-        if let Some(d) = &mut self.watchdog {
-            d.set_recorder(recorder.register("watchdog"));
         }
         self.recorder = Some(recorder);
     }
@@ -321,32 +273,26 @@ impl MiniRedis {
     }
 
     /// Applies the queued GETs, then pushes the profiler's current
-    /// memory-footprint breakdown (and the watchdog's shadow bytes) into
-    /// the metrics registry so `INFO`'s `# memory` section and a scrape of
-    /// `/metrics` see fresh gauges and counters.
+    /// memory-footprint breakdown into the metrics registry so `INFO`'s
+    /// `# memory` section and a scrape of `/metrics` see fresh gauges and
+    /// counters.
     pub fn publish_footprint(&mut self) {
         self.apply_profile_queue();
-        self.publish_gauges();
-    }
-
-    fn publish_gauges(&self) {
-        use krr_core::footprint::Footprint as _;
         if let Some(p) = &self.profiler {
             p.publish_footprint();
-        }
-        if let Some(d) = &self.watchdog {
-            self.metrics.publish_footprint(&d.footprint());
         }
     }
 
     /// Periodic exposition refresh driven by the GET stream.
     fn refresh_expo(&self) {
-        self.publish_gauges();
-        if let (Some(p), Some(cell)) = (&self.profiler, &self.mrc_cell) {
-            cell.publish(p.mrc());
+        if let Some(p) = &self.profiler {
+            p.publish_footprint();
+            if let Some(cell) = &self.mrc_cell {
+                cell.publish(p.mrc());
+            }
         }
         if let Some(f) = &self.fleet {
-            f.publish_metrics();
+            self.metrics.tenant_rows.set(f.summary());
             if let Some(cell) = &self.fleet_cell {
                 cell.publish(f.view());
             }
@@ -423,8 +369,7 @@ impl MiniRedis {
     /// GET attributed to a tenant: the store lookup and aggregate profiler
     /// behave exactly like [`MiniRedis::get`]; additionally, when fleet
     /// profiling is enabled and `tenant` is `Some`, the reference feeds
-    /// that tenant's KRR instance (materializing it on first touch) and
-    /// its shadow watchdog if the fleet watchdog has elected it. The
+    /// that tenant's KRR instance (materializing it on first touch). The
     /// profiling is queued, not done here: see
     /// [`MiniRedis::apply_profile_queue`].
     pub fn get_for(&mut self, tenant: Option<u64>, key: u64) -> bool {
@@ -441,10 +386,9 @@ impl MiniRedis {
                 (false, 1)
             }
         };
-        // The `model.accesses`/`hits`/`cold_misses` rows have one writer:
-        // the KRR models when a profiler or fleet arena shares the
-        // registry, otherwise this GET path.
-        if self.profiler.is_none() && self.fleet.is_none() {
+        // One writer per `model.*` row: the profiler's shard models when
+        // profiling is on, otherwise this GET path.
+        if self.profiler.is_none() {
             self.metrics.accesses.inc();
             if hit {
                 self.metrics.hits.inc();
@@ -471,10 +415,9 @@ impl MiniRedis {
     }
 
     /// Applies the queued GETs in order, each exactly as an unqueued GET
-    /// would have been profiled: the KRR profiler access, the watchdog's
-    /// observe and check, the fleet arena and fleet watchdog, and the
-    /// exposition refresh on every [`EXPO_REFRESH_EVERY`]th GET. Returns
-    /// the number applied; a drain that applies any counts in
+    /// would have been profiled: the KRR profiler access, the fleet arena
+    /// access, and the exposition refresh on every [`EXPO_REFRESH_EVERY`]th
+    /// GET. Returns the number applied; a drain that applies any counts in
     /// `server.profile_drains`.
     pub fn apply_profile_queue(&mut self) -> u64 {
         if self.profile_queue.is_empty() {
@@ -487,19 +430,9 @@ impl MiniRedis {
         for (i, g) in queue.iter().enumerate() {
             if let Some(p) = &mut self.profiler {
                 p.access(g.key, g.size);
-                if let Some(dog) = &mut self.watchdog {
-                    dog.observe(g.key);
-                    if dog.check_due() {
-                        dog.check(&p.mrc());
-                    }
-                }
             }
             if let (true, Some(fleet)) = (g.has_tenant, &mut self.fleet) {
-                let h = hash_key(g.key);
-                fleet.access_hashed(g.tenant, g.key, g.size, h);
-                if let Some(dog) = &mut self.fleet_dog {
-                    dog.observe_hashed(fleet, g.tenant, g.key, h);
-                }
+                fleet.access(g.tenant, g.key, g.size);
             }
             // Keyed on the GET count, not `ticks`: SETs advance the LRU
             // clock too, and a refresh due on a SET's tick would be
@@ -742,8 +675,8 @@ impl MiniRedis {
 
     /// Writes a full `krr-ckpt-v1` checkpoint of the store — keyspace and
     /// counters (`STOR`), metrics registry (`METR`), plus the profiler
-    /// (`SHRD`) and watchdog (`WDOG`) when enabled — atomically to `path`,
-    /// after applying every queued GET.
+    /// (`SHRD`) when enabled — atomically to `path`, after applying every
+    /// queued GET.
     pub fn save_checkpoint<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
         self.apply_profile_queue();
         let mut w = CheckpointWriter::new();
@@ -753,9 +686,6 @@ impl MiniRedis {
             .save_state(w.section(SECTION_METRICS));
         if let Some(p) = &self.profiler {
             p.save_state(w.section(SECTION_SHARDED));
-        }
-        if let Some(d) = &self.watchdog {
-            d.save_state(w.section(SECTION_WATCHDOG));
         }
         w.write_atomic(path)
     }
@@ -774,8 +704,8 @@ impl MiniRedis {
     }
 
     /// Restore-on-start: rebuilds a store from a
-    /// [`MiniRedis::save_checkpoint`] file. The profiler, watchdog, and
-    /// metrics counters come back when their sections are present, and the
+    /// [`MiniRedis::save_checkpoint`] file. The profiler and metrics
+    /// counters come back when their sections are present, and the
     /// checkpoint path is set to `path` so later `BGSAVE`s overwrite it.
     pub fn restore_from<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
         let ckpt = CheckpointReader::open(&path)?;
@@ -790,11 +720,6 @@ impl MiniRedis {
             bank.set_metrics(Arc::clone(&store.metrics));
             store.profiler = Some(bank);
         }
-        if let Some(mut dec) = ckpt.section(SECTION_WATCHDOG) {
-            let mut dog = AccuracyWatchdog::load_state(&mut dec)?;
-            dog.set_metrics(Arc::clone(&store.metrics));
-            store.watchdog = Some(dog);
-        }
         store.checkpoint_path = Some(path.as_ref().to_path_buf());
         Ok(store)
     }
@@ -802,7 +727,7 @@ impl MiniRedis {
 
 impl krr_core::footprint::Footprint for MiniRedis {
     /// Keyspace (dict slab + buckets), eviction scratch state, and — when
-    /// enabled — the profiler bank and watchdog shadow.
+    /// enabled — the profiler bank.
     fn footprint(&self) -> krr_core::footprint::FootprintReport {
         let mut r = self.dict.footprint();
         r.add(
@@ -815,9 +740,6 @@ impl krr_core::footprint::Footprint for MiniRedis {
         );
         if let Some(p) = &self.profiler {
             r.merge(&p.footprint());
-        }
-        if let Some(d) = &self.watchdog {
-            r.merge(&d.footprint());
         }
         r
     }
@@ -987,26 +909,42 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_watchdog_publishes_into_store_metrics() {
-        let mut r = MiniRedis::new(1_000_000, 5, 11);
-        r.enable_mrc_profiling(&KrrConfig::new(64.0).seed(2), 2);
-        r.enable_accuracy_watchdog(WatchdogConfig {
-            rate: 1.0,
-            check_every: 2_000,
-            mae_threshold: 0.5,
-            eval_points: 16,
-        });
-        for _ in 0..4 {
-            for k in 0..2_000u64 {
-                r.access(&Request::get(k, 100));
+    fn tenant_gets_are_counted_once_with_profiler_and_fleet() {
+        for profiler_first in [true, false] {
+            let mut r = MiniRedis::new(1_000_000, 5, 14);
+            let fleet = FleetConfig::new(KrrConfig::new(5.0).seed(6));
+            if profiler_first {
+                r.enable_mrc_profiling(&KrrConfig::new(5.0).seed(4), 2);
+                r.enable_fleet_profiling(fleet);
+            } else {
+                r.enable_fleet_profiling(fleet);
+                r.enable_mrc_profiling(&KrrConfig::new(5.0).seed(4), 2);
             }
+            for i in 0..1_000u64 {
+                r.get_for(Some(i % 4), i % 300);
+            }
+            r.apply_profile_queue();
+            let snap = r.metrics().snapshot();
+            assert_eq!(snap.accesses, 1_000, "profiler first: {profiler_first}");
+            assert_eq!(snap.shard_accesses.iter().sum::<u64>(), 1_000);
+            assert_eq!(snap.hits + snap.cold_misses, 1_000);
+            assert_eq!(r.fleet().map(FleetArena::len), Some(4));
         }
-        let report = r.watchdog_report().expect("watchdog checks ran");
-        assert!(report.checks >= 3, "got {} checks", report.checks);
+    }
+
+    #[test]
+    fn unscoped_gets_are_counted_with_only_the_fleet_on() {
+        let mut r = MiniRedis::new(1_000_000, 5, 15);
+        r.enable_fleet_profiling(FleetConfig::new(KrrConfig::new(5.0).seed(6)));
+        r.set(3, 100);
+        for k in 0..10u64 {
+            r.get(k);
+        }
+        r.apply_profile_queue();
         let snap = r.metrics().snapshot();
-        assert_eq!(snap.watchdog_checks, report.checks);
-        assert!(snap.watchdog_shadow_refs > 0);
-        assert!(snap.render_info().contains("# watchdog"));
+        assert_eq!(snap.accesses, 10);
+        assert_eq!(snap.hits + snap.cold_misses, 10);
+        assert_eq!(snap.hits, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Online MRC profiling with the observability layer attached (§2.4, §5.5).
 //!
 //! Streams a *drifting* Zipf workload through KRR + spatial sampling the
-//! way a sidecar profiler would, with the two PR-3 observability tools
-//! running beside it:
+//! way a sidecar profiler would, with two observability tools running
+//! beside it:
 //!
 //! * a [`StatsTimeline`] emitting one `krr-stats-v1` JSON-Lines row per
 //!   window (windowed deltas of the shared metrics registry — the same
@@ -114,7 +114,7 @@ fn main() {
     );
     assert_eq!(drift_events, snap.watchdog_drift_events);
     println!(
-        "the same timeline/watchdog wiring runs inside `krr model --stats-every N` \
-         and the mini-Redis server (INFO '# watchdog', METRICS, TRACE DUMP, SLOWLOG)"
+        "the same stats timeline runs inside `krr model --stats-every N`; the watchdog \
+         is a library piece that a caller feeds beside its model, as above"
     );
 }

@@ -56,6 +56,13 @@ cargo run --release --offline -q -p krr --example live_scrape > /tmp/krr_live_sc
 grep -q "krr / olken space ratio" /tmp/krr_live_scrape.out
 grep -q "serving live metrics on http://" /tmp/krr_live_scrape.out
 
+# Accuracy-watchdog smoke: no server or CLI path reaches
+# `AccuracyWatchdog`, so this example is its end-to-end run. It feeds a
+# shadow Olken beside a model over a drifting Zipf stream and asserts
+# inside that its drift count matches the registry's.
+cargo run --release --offline -q -p krr --example online_profiler > /tmp/krr_online_profiler.out
+grep -q "watchdog checks over" /tmp/krr_online_profiler.out
+
 # Loopback load smoke: the flash-crowd example replays a burst schedule
 # over real RESP connections against a profiled mini-Redis while scraping
 # /metrics, and asserts inside (zero errors, complete histograms, the

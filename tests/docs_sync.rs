@@ -1,5 +1,6 @@
-//! Doc-sync: the architecture document must name every metric, and the
-//! design document's module table must name only modules that exist.
+//! Doc-sync: the architecture document must name every metric and exactly
+//! the checkpoint section tags the code defines, and the design document's
+//! module table must name only modules that exist.
 //!
 //! `docs/ARCHITECTURE.md` carries the "Metric names → emitting code"
 //! tables operators navigate by; a metric that exists in the registry but
@@ -149,5 +150,43 @@ fn design_module_table_names_only_existing_modules() {
     assert!(
         checked >= 30,
         "only {checked} module paths found in DESIGN.md"
+    );
+}
+
+#[test]
+fn architecture_checkpoint_tags_match_the_section_constants() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let doc_text = std::fs::read_to_string(format!("{root}/docs/ARCHITECTURE.md"))
+        .expect("docs/ARCHITECTURE.md exists");
+    let layout = doc_text
+        .split("### `krr-ckpt-v1`")
+        .nth(1)
+        .expect("docs/ARCHITECTURE.md has the krr-ckpt-v1 layout");
+    let tag_line = layout
+        .lines()
+        .find(|l| l.trim_start().starts_with("tag "))
+        .expect("the krr-ckpt-v1 layout has a tag line");
+    let mut documented: Vec<&str> = tag_line
+        .split_whitespace()
+        .filter(|t| t.len() == 4 && t.bytes().all(|b| b.is_ascii_uppercase()))
+        .collect();
+    let source = std::fs::read_to_string(format!("{root}/crates/core/src/checkpoint.rs"))
+        .expect("checkpoint.rs exists");
+    let mut defined: Vec<&str> = source
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub const SECTION_"))
+        .filter(|l| !l.starts_with("END"))
+        .filter_map(|l| l.split("*b\"").nth(1)?.split('"').next())
+        .collect();
+    documented.sort_unstable();
+    defined.sort_unstable();
+    assert!(
+        defined.len() >= 5,
+        "found only {defined:?} in checkpoint.rs"
+    );
+    assert_eq!(
+        documented, defined,
+        "docs/ARCHITECTURE.md's krr-ckpt-v1 tag line must list exactly the \
+         SECTION_* tags of crates/core/src/checkpoint.rs"
     );
 }
