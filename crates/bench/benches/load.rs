@@ -7,7 +7,7 @@
 //! with the median p99, its A/B section holding the medians) at the repo
 //! root for CI perf tracking (`KRR_CI_BENCH=1` in scripts/ci.sh).
 
-use krr_load::{run_ab, run_pass, AbConfig, AbReport, Arrival, LoadConfig, LoadReport, Schedule};
+use krr_load::{run_pass, AbConfig, AbReport, Arrival, LoadConfig, LoadReport, Schedule};
 use krr_trace::ycsb;
 
 const P99_LIMIT_PCT: f64 = 10.0;
@@ -66,7 +66,9 @@ fn main() {
     // one-time costs (page faults, lazy init, TCP stack warm-up) that
     // would otherwise land entirely on the profiling-off side.
     let warm = Schedule::generate(Arrival::Constant, 20_000.0, 4_000, 7);
-    run_ab(&warm, &trace[..4_000], &load, &ab).expect("warm-up run");
+    for profiled in [false, true] {
+        run_pass(profiled, &warm, &trace[..4_000], &load, &ab).expect("warm-up run");
+    }
 
     let (mut off, mut on): (Vec<LoadReport>, Vec<LoadReport>) = (Vec::new(), Vec::new());
     for pass in 0..PASSES {

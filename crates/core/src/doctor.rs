@@ -68,8 +68,6 @@ pub struct DoctorCounters {
     pub queue_depth_slots: Option<u64>,
     /// Exemplar-ring statistics, when an exemplar source is joined.
     pub exemplars: Option<ExemplarStats>,
-    /// Profiler sample-ring losses, when a profiler source is joined.
-    pub profiler_dropped: Option<u64>,
 }
 
 impl DoctorCounters {
@@ -112,7 +110,6 @@ impl DoctorCounters {
             mae_ppm: num("watchdog_mae_ppm"),
             queue_depth_slots: None,
             exemplars: None,
-            profiler_dropped: None,
         }
     }
 
@@ -330,19 +327,15 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
         }
     }
 
-    // Forensics self-check: overwrite-oldest loss in the exemplar or
-    // profiler rings (informational — data is sampled, not wrong).
+    // Forensics self-check: overwrite-oldest loss in the exemplar ring
+    // (informational — data is sampled, not wrong).
     let ex_dropped = c.exemplars.map_or(0, |e| e.dropped);
-    let prof_dropped = c.profiler_dropped.unwrap_or(0);
-    if ex_dropped > 0 || prof_dropped > 0 {
+    if ex_dropped > 0 {
         findings.push(Finding {
             id: "forensics_loss",
             severity: "ok",
-            finding: "exemplar/profiler rings overwrote old entries (bounded-memory loss)".into(),
-            evidence: ev(&[
-                ("exemplar_dropped", ex_dropped),
-                ("profiler_dropped", prof_dropped),
-            ]),
+            finding: "the exemplar ring overwrote old entries (bounded-memory loss)".into(),
+            evidence: ev(&[("exemplar_dropped", ex_dropped)]),
             suggestion: "raise the ring capacity if forensic history matters more than memory"
                 .into(),
         });
@@ -370,7 +363,8 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
 }
 
 /// Required top-level keys per known grow-only schema tag. Grow-only
-/// means committed artifacts may add keys but never lose these.
+/// means committed artifacts may add keys but never lose these; a tag
+/// leaves the table with the last artifact that carried it.
 const ARTIFACT_SCHEMAS: &[(&str, &[&str])] = &[
     (
         "krr-metrics-v1",
@@ -407,16 +401,6 @@ const ARTIFACT_SCHEMAS: &[(&str, &[&str])] = &[
     (
         "krr-bench-fleet-v1",
         &["tenants", "scrape_overhead_pct", "footprint_worst_ratio"],
-    ),
-    (
-        "krr-bench-doctor-v1",
-        &[
-            "requests",
-            "p99_baseline_ns",
-            "p99_forensics_ns",
-            "overhead_pct",
-            "overhead_limit_pct",
-        ],
     ),
 ];
 

@@ -330,7 +330,8 @@ pub fn render_openmetrics(snap: &MetricsSnapshot) -> String {
 /// `krr_command_latency_ns` histogram with OpenMetrics exemplar suffixes
 /// (`<sample> # {request_id="..",tenant=".."} <latency>`) on its bucket
 /// lines — each finite bucket carries the most recent tail request that
-/// landed in it — plus the forensics loss counters. Returned *without* a
+/// landed in it — plus the exemplar capture/loss counters and the
+/// profiler's sample count. Returned *without* a
 /// trailing `# EOF` (the caller splices it into the main document).
 #[must_use]
 pub fn render_forensics_block(
@@ -397,12 +398,8 @@ pub fn render_forensics_block(
             s,
             "# TYPE krr_profiler_samples counter\n\
              # HELP krr_profiler_samples Phase-profiler samples recorded.\n\
-             krr_profiler_samples_total {}\n\
-             # TYPE krr_profiler_dropped counter\n\
-             # HELP krr_profiler_dropped Phase-profiler samples overwritten in the sample ring.\n\
-             krr_profiler_dropped_total {}\n",
-            p.samples_total(),
-            p.dropped()
+             krr_profiler_samples_total {}\n",
+            p.samples_total()
         );
     }
     s
@@ -825,19 +822,15 @@ fn handle_conn(mut stream: TcpStream, sources: &ExpoSources) -> io::Result<()> {
             let watchdog = if drift > 0 { "drift" } else { "ok" };
             let pipeline = if stalls > 0 { "stalls" } else { "ok" };
             let tenants = if tenants_drifted > 0 { "drift" } else { "ok" };
-            // Forensics ring losses: overwrite-oldest is by design
+            // Exemplar ring losses: overwrite-oldest is by design
             // (bounded memory), so loss is surfaced but never flips the
             // health code either — silent loss is the failure mode this
-            // guards against.
+            // guards against. The profiler keeps only totals and cannot
+            // lose a sample; `profiler_drops` stays in the document as 0.
             let exemplar_drops = sources.exemplars.as_ref().map_or(0, |e| e.dropped());
-            let profiler_drops = sources.profiler.as_ref().map_or(0, |p| p.dropped());
-            let forensics = if exemplar_drops > 0 || profiler_drops > 0 {
-                "lossy"
-            } else {
-                "ok"
-            };
+            let forensics = if exemplar_drops > 0 { "lossy" } else { "ok" };
             let body = format!(
-                "{{\"status\":\"{status}\",\"drift_events\":{drift},\"mae_ppm\":{mae},\"pipeline_stalls\":{stalls},\"tenants_drifted\":{tenants_drifted},\"exemplar_drops\":{exemplar_drops},\"profiler_drops\":{profiler_drops},\"request_timeouts\":{timeouts},\"subsystems\":{{\"watchdog\":\"{watchdog}\",\"pipeline\":\"{pipeline}\",\"tenants\":\"{tenants}\",\"forensics\":\"{forensics}\"}}}}"
+                "{{\"status\":\"{status}\",\"drift_events\":{drift},\"mae_ppm\":{mae},\"pipeline_stalls\":{stalls},\"tenants_drifted\":{tenants_drifted},\"exemplar_drops\":{exemplar_drops},\"profiler_drops\":0,\"request_timeouts\":{timeouts},\"subsystems\":{{\"watchdog\":\"{watchdog}\",\"pipeline\":\"{pipeline}\",\"tenants\":\"{tenants}\",\"forensics\":\"{forensics}\"}}}}"
             );
             if unhealthy {
                 respond(
@@ -994,7 +987,8 @@ mod tests {
         let server = ExpoServer::start("127.0.0.1:0", sources).unwrap();
         let (status, _, body) = http_get(server.addr(), "/metrics").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("krr_profiler_dropped_total 0\n"));
+        assert!(body.contains("krr_profiler_samples_total 0\n"), "{body}");
+        assert!(!body.contains("krr_profiler_dropped"), "{body}");
         assert!(body.trim_end().ends_with("# EOF"));
         let (status, ctype, body) = http_get(server.addr(), "/metrics?format=json").unwrap();
         assert_eq!(status, 200);

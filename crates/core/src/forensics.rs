@@ -24,7 +24,7 @@
 //! payload, fences, and re-checks — a torn slot reads as in-progress and
 //! is skipped, never emitted half-written. The
 //! whole structure is independent of the model: capture touches no KRR
-//! state, so MRCs stay bit-identical with forensics on or off.
+//! state, so observing a server leaves its MRC unchanged.
 //!
 //! ```
 //! use krr_core::forensics::{Exemplar, ExemplarRing};
@@ -40,7 +40,7 @@
 //! assert_eq!(dump.exemplars[0].request_id, id);
 //! ```
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::metrics::{bucket_bound, bucket_of, HistogramSnapshot, LogHistogram};
 
@@ -116,7 +116,6 @@ pub struct ExemplarDump {
 /// latency histogram and self-adjusting p99 capture threshold.
 #[derive(Debug)]
 pub struct ExemplarRing {
-    enabled: AtomicBool,
     request_ids: AtomicU64,
     /// Depth of in-flight `/metrics` scrapes (guards may nest).
     scrapes: AtomicU64,
@@ -134,19 +133,18 @@ impl Default for ExemplarRing {
 }
 
 impl ExemplarRing {
-    /// Ring with the default capacity, enabled.
+    /// Ring with the default capacity.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Ring holding `capacity` exemplars (rounded up to a power of two,
-    /// minimum 16), enabled.
+    /// minimum 16).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(16).next_power_of_two();
         Self {
-            enabled: AtomicBool::new(true),
             request_ids: AtomicU64::new(0),
             scrapes: AtomicU64::new(0),
             hist: LogHistogram::new(),
@@ -161,18 +159,6 @@ impl ExemplarRing {
         }
     }
 
-    /// Turns capture on or off (`CONFIG SET forensics on|off`). Off,
-    /// [`Self::observe`] is one flag load — the recorder-only baseline.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether capture is enabled.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Issues the next request id (1-based, monotone per ring).
     #[must_use]
     pub fn next_request_id(&self) -> u64 {
@@ -185,9 +171,6 @@ impl ExemplarRing {
     /// samples establish a distribution.
     #[must_use]
     pub fn observe(&self, latency_ns: u64) -> bool {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
         self.hist.record(latency_ns);
         if self.hist.count() % THRESHOLD_REFRESH == 0 {
             self.refresh_threshold();
@@ -448,16 +431,6 @@ mod tests {
         assert!(!ring.observe(1_000));
         assert!(ring.observe(8_000_000));
         assert!(ring.threshold_ns() > 1_000);
-    }
-
-    #[test]
-    fn disabled_ring_observes_nothing() {
-        let ring = ExemplarRing::new();
-        ring.set_enabled(false);
-        assert!(!ring.observe(u64::MAX));
-        assert_eq!(ring.latency_histogram().count, 0);
-        ring.set_enabled(true);
-        assert!(ring.observe(1));
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //! * [`obs`] — flight-recorder span tracing (Chrome trace export) and the
 //!   windowed stats timeline.
 //! * [`profiler`] — always-on self-profiler: per-thread phase-attribution
-//!   rings behind the flight recorder, exported as folded flamegraph text.
+//!   totals behind the flight recorder, exported as folded flamegraph text.
 //! * [`forensics`] — tail-request exemplars: a lock-free ring of p99+
 //!   requests with their counter context (`krr-exemplars-v1`).
 //! * [`doctor`] — the PERFORMANCE.md counter-signature playbook as

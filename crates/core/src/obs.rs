@@ -157,6 +157,9 @@ struct Ring {
     /// Events ever written (monotone; slot = cursor % capacity).
     cursor: AtomicU64,
     words: Box<[AtomicU64]>,
+    /// The thread's row in the recorder's profiler: every span recorded
+    /// here is also a profile sample there.
+    prof: ProfilerHandle,
 }
 
 impl Ring {
@@ -211,25 +214,45 @@ impl FlightRecorder {
         &self.profiler
     }
 
-    /// Registers a new logical thread and returns its recording handle.
-    /// Registration takes a lock (it is rare); recording never does.
+    /// Registers a logical thread and returns its recording handle.
+    /// A ring whose handle was dropped goes to the next registration under
+    /// its label, with its tid, its events and its profiler row, so a
+    /// caller that re-registers the same labels on every run (the
+    /// pipeline's `router` and `worker-<w>`) holds one ring per label, not
+    /// one per run. Registration takes a lock (it is rare); recording
+    /// never does.
     #[must_use]
     pub fn register(&self, label: &str) -> ThreadRecorder {
         let mut rings = self.rings.lock().expect("recorder poisoned");
-        let ring = Arc::new(Ring {
-            tid: rings.len() as u32,
-            label: label.to_string(),
-            cursor: AtomicU64::new(0),
-            words: (0..self.capacity * WORDS_PER_EVENT)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        });
-        rings.push(Arc::clone(&ring));
-        drop(rings);
+        // Only handles and this list hold a ring, and handles are made
+        // here under the lock: a count of 1 means no handle is left.
+        let free = rings
+            .iter()
+            .find(|r| r.label == label && Arc::strong_count(r) == 1);
+        let ring = match free {
+            Some(ring) => {
+                // Pairs with the last handle's release on drop, so the
+                // new writer starts from the old one's cursor.
+                std::sync::atomic::fence(Ordering::Acquire);
+                Arc::clone(ring)
+            }
+            None => {
+                let ring = Arc::new(Ring {
+                    tid: rings.len() as u32,
+                    label: label.to_string(),
+                    cursor: AtomicU64::new(0),
+                    words: (0..self.capacity * WORDS_PER_EVENT)
+                        .map(|_| AtomicU64::new(0))
+                        .collect(),
+                    prof: self.profiler.register(label),
+                });
+                rings.push(Arc::clone(&ring));
+                ring
+            }
+        };
         ThreadRecorder {
             ring,
             epoch: self.epoch,
-            prof: self.profiler.register(label),
         }
     }
 
@@ -360,7 +383,6 @@ const VALID_TAG: u64 = 0x000B_5E55;
 pub struct ThreadRecorder {
     ring: Arc<Ring>,
     epoch: Instant,
-    prof: ProfilerHandle,
 }
 
 impl ThreadRecorder {
@@ -388,7 +410,7 @@ impl ThreadRecorder {
         self.ring.cursor.store(i + 1, Ordering::Release);
         // Piggyback phase attribution for the self-profiler: every span
         // is also a profile sample on this thread.
-        self.prof.sample(ProfPhase::from_span(phase), dur_ns);
+        self.ring.prof.sample(ProfPhase::from_span(phase), dur_ns);
     }
 
     /// Records a span that started at `start_ns` and ends now.
@@ -414,7 +436,7 @@ impl ThreadRecorder {
     /// dispatches samples [`ProfPhase::Hash`] this way).
     #[inline]
     pub fn profile(&self, phase: ProfPhase, ns: u64) {
-        self.prof.sample(phase, ns);
+        self.ring.prof.sample(phase, ns);
     }
 }
 

@@ -503,6 +503,28 @@ mod tests {
     }
 
     #[test]
+    fn repeated_pipeline_runs_reuse_their_recorder_rings() {
+        let refs = skewed(2_000, 4_000, 41);
+        let cfg = KrrConfig::new(5.0).seed(8);
+        let rec = Arc::new(FlightRecorder::with_capacity(64));
+        let mut traced = ShardedKrr::new(&cfg, 4);
+        traced.set_recorder(Arc::clone(&rec));
+        let mut plain = ShardedKrr::new(&cfg, 4);
+        let mut rows_after_first = 0;
+        for run in 0..20 {
+            traced.process_stream(refs.iter().copied(), 2);
+            plain.process_stream(refs.iter().copied(), 2);
+            if run == 0 {
+                rows_after_first = rec.profiler().thread_totals().len();
+            }
+        }
+        // shard-0..3, merge, router, worker-0, worker-1.
+        assert_eq!(rows_after_first, 8);
+        assert_eq!(rec.profiler().thread_totals().len(), rows_after_first);
+        assert_eq!(traced.mrc().points(), plain.mrc().points());
+    }
+
+    #[test]
     fn masked_shard_routing_matches_division() {
         let mut rng = Xoshiro256::seed_from_u64(40);
         let mut hashes: Vec<u64> = (0..2048).map(|_| rng.next_u64()).collect();

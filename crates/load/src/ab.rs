@@ -132,7 +132,8 @@ fn run_side(
 /// Replays `schedule` once against a fresh server: one side of an A/B
 /// experiment, profiling + scraping on when `profiled` is set. Several
 /// passes with alternating order give a paired comparison less exposed to
-/// one noisy stretch of a shared host than [`run_ab`]'s single pair.
+/// one noisy stretch of a shared host than [`run_ab_forensics`]'s single
+/// pair.
 pub fn run_pass(
     profiled: bool,
     schedule: &Schedule,
@@ -144,19 +145,9 @@ pub fn run_pass(
 }
 
 /// Replays `schedule` twice — profiling + scraping off, then on — and
-/// returns the profiled side's report with the A/B comparison filled in.
-pub fn run_ab(
-    schedule: &Schedule,
-    reqs: &[Request],
-    load: &LoadConfig,
-    ab: &AbConfig,
-) -> io::Result<LoadReport> {
-    run_ab_forensics(schedule, reqs, load, ab).map(|(report, _)| report)
-}
-
-/// Like [`run_ab`], but also returns the profiled side's end-of-run
-/// `krr-metrics-v1` JSON snapshot so `krr doctor` can diagnose the run
-/// without a second experiment.
+/// returns the profiled side's report with the A/B comparison filled in,
+/// plus that side's end-of-run `krr-metrics-v1` JSON snapshot so
+/// `krr doctor` can diagnose the run without a second experiment.
 pub fn run_ab_forensics(
     schedule: &Schedule,
     reqs: &[Request],

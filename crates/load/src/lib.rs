@@ -12,10 +12,12 @@
 //!
 //! Results come back as a [`LoadReport`] (`krr-load-v1` JSON): achieved
 //! vs target QPS, interpolated log2-histogram percentiles, error counts,
-//! and a per-phase breakdown. [`run_ab`] layers a paired experiment on
-//! top: the same seeded schedule against a plain server and against one
-//! with MRC profiling plus live `/metrics` scraping, reporting the p99
-//! delta the repo's tail-latency gate enforces.
+//! and a per-phase breakdown. [`run_pass`] replays a schedule against one
+//! fresh server, plain or with MRC profiling plus live `/metrics`
+//! scraping; [`run_ab_forensics`] runs one pass of each side and reports
+//! the p99 delta of the pair plus the profiled side's metrics snapshot
+//! (`krr load --ab`). The tail-latency gate in `benches/load.rs` takes the
+//! median of several alternating [`run_pass`] pairs instead.
 //!
 //! ```
 //! use krr_load::{Arrival, Schedule};
@@ -34,7 +36,7 @@ pub mod report;
 pub mod runner;
 pub mod schedule;
 
-pub use ab::{run_ab, run_ab_forensics, run_pass, AbConfig};
+pub use ab::{run_ab_forensics, run_pass, AbConfig};
 pub use report::{AbReport, LatencySummary, LoadReport, PhaseReport};
 pub use runner::{prefill, run, LoadConfig};
 pub use schedule::{Arrival, Phase, Schedule};

@@ -10,20 +10,23 @@
 //! connection blocks; `server.commands` and `server.reply_flushes` count
 //! commands and writes.
 //!
-//! A GET's profiling runs behind its reply: the store queues the GET (see
-//! [`MiniRedis::apply_profile_queue`]), and a connection that queued one
-//! applies the store's queue right after each reply write — after the last
+//! A GET's profiling runs behind its reply: a store with a profiler or a
+//! fleet arena queues the GET (see [`MiniRedis::apply_profile_queue`]),
+//! and a connection that queued one applies the store's queue right after
+//! each reply write — after the last
 //! reply of a burst and before every blocking socket read — so a lone
 //! GET's reply is on the wire before the KRR update, fleet access and
 //! exposition refresh run. `MRC`, `INFO`, `METRICS` and `BGSAVE` apply the
 //! queue before they read. Each drain that applies GETs is one
 //! [`Phase::ProfileDrain`] span on the connection's ring (arg = GETs
-//! applied) and one `server.profile_drains` count.
+//! applied) and one `server.profile_drains` count. A store without
+//! profiling queues nothing, so its GETs take the store lock once and
+//! never drain.
 //!
 //! Supported commands: `GET`, `SET`, `DEL`, `DBSIZE`, `INFO`,
 //! `METRICS`, `MRC`, `PING`, `SHUTDOWN`, `BGSAVE`, `TRACE DUMP`,
 //! `SLOWLOG GET|LEN|RESET`, and `CONFIG GET|SET` for
-//! `slowlog-log-slower-than`, `expo-port`, and `forensics`.
+//! `slowlog-log-slower-than` and `expo-port`.
 //!
 //! `CONFIG SET expo-port <port>` starts an embedded
 //! [`krr_core::expo::ExpoServer`] on `127.0.0.1:<port>` serving the store's
@@ -39,11 +42,10 @@
 //! [`krr_core::forensics::ExemplarRing`]; commands whose latency lands in
 //! the top histogram bucket (≈p99+) are captured with their tenant,
 //! command tag, and a counter-context join (ring parks, deep-chain work,
-//! scrape-in-progress). `CONFIG SET forensics off` disables both the
-//! exemplar ring and the phase profiler, leaving only the flight
-//! recorder — the baseline side of `BENCH_doctor.json`. Slow-log entries
-//! and `Command` trace spans carry the connection's tenant so fleet-mode
-//! tails are attributable.
+//! scrape-in-progress). Exemplar capture and the phase profiler are
+//! always on; `docs/PERFORMANCE.md` records their measured tail cost.
+//! Slow-log entries and `Command` trace spans carry the connection's
+//! tenant so fleet-mode tails are attributable.
 //!
 //! `BGSAVE` writes an atomic `krr-ckpt-v1` checkpoint of the whole store
 //! (keyspace, counters, profiler) to the path configured with
@@ -349,8 +351,12 @@ fn serve_connection(
 ) -> io::Result<()> {
     let conn_id = obs.next_conn.fetch_add(1, Ordering::Relaxed);
     let rec = obs.recorder.register(&format!("conn-{conn_id}"));
-    // Grabbed once so the exemplar capture path never takes the store lock.
-    let metrics = Arc::clone(store.lock().expect("store poisoned").metrics());
+    // Grabbed once so the exemplar capture path never takes the store
+    // lock. Whether GETs queue a profile is fixed before the server starts.
+    let (metrics, queues_gets) = {
+        let s = store.lock().expect("store poisoned");
+        (Arc::clone(s.metrics()), s.queues_gets())
+    };
     conn.set_nodelay(true)?;
     // A read timeout lets idle workers notice the stop flag instead of
     // blocking forever in `read` (which would deadlock `shutdown` while a
@@ -418,7 +424,7 @@ fn serve_connection(
         let dur = rec.now_ns() - t0;
         metrics.server_commands.inc();
         let wire = reader.get_mut();
-        wire.queued_get |= matches!(cmd, Some(Cmd::Get));
+        wire.queued_get |= queues_gets && matches!(cmd, Some(Cmd::Get));
         write_value(&mut wire.out, &reply)?;
         // Replies are written the way Redis writes them: at once when no
         // further command is buffered, otherwise together with the
@@ -744,12 +750,6 @@ fn handle(
                         Value::bulk(b"expo-port".to_vec()),
                         Value::bulk(port.to_string().into_bytes()),
                     ])
-                } else if param.eq_ignore_ascii_case(b"forensics") {
-                    let on = obs.exemplars.enabled();
-                    Value::Array(vec![
-                        Value::bulk(b"forensics".to_vec()),
-                        Value::bulk(if on { b"on".to_vec() } else { b"off".to_vec() }),
-                    ])
                 } else {
                     Value::Array(Vec::new())
                 }
@@ -789,27 +789,12 @@ fn handle(
                         }
                         Err(e) => Value::Error(format!("ERR expo-port bind: {e}")),
                     }
-                } else if param.eq_ignore_ascii_case(b"forensics") {
-                    // One switch for both forensic subsystems: the exemplar
-                    // ring and the phase profiler. Used by the overhead
-                    // bench to get a recorder-only baseline.
-                    let on = if value.eq_ignore_ascii_case(b"on") {
-                        true
-                    } else if value.eq_ignore_ascii_case(b"off") {
-                        false
-                    } else {
-                        return Value::Error("ERR forensics must be on|off".into());
-                    };
-                    obs.exemplars.set_enabled(on);
-                    obs.recorder.profiler().set_enabled(on);
-                    Value::Simple("OK".into())
                 } else {
                     Value::Error("ERR unknown CONFIG parameter".into())
                 }
             }
             _ => Value::Error(
-                "ERR usage: CONFIG GET|SET slowlog-log-slower-than|expo-port|forensics [value]"
-                    .into(),
+                "ERR usage: CONFIG GET|SET slowlog-log-slower-than|expo-port [value]".into(),
             ),
         },
     }
@@ -1006,30 +991,44 @@ mod tests {
         for key in 0..50u64 {
             let _ = client.access(key, 50).unwrap();
         }
-        let reply = client.raw(&[b"CONFIG", b"GET", b"forensics"]).unwrap();
-        let Value::Array(kv) = &reply else {
-            panic!("CONFIG GET forensics: {reply:?}")
-        };
-        assert!(matches!(&kv[1], Value::Bulk(Some(v)) if v == b"on"));
-        // Toggle off: no new exemplars are recorded, and the connection
-        // round-trips both states.
+        assert!(server.obs.exemplars.captured() > 0, "no exemplar captured");
+        // Capture is always on: there is no switch to read or flip.
         let reply = client
             .raw(&[b"CONFIG", b"SET", b"forensics", b"off"])
             .unwrap();
-        assert!(matches!(&reply, Value::Simple(s) if s == "OK"));
+        assert!(
+            matches!(&reply, Value::Error(e) if e == "ERR unknown CONFIG parameter"),
+            "{reply:?}"
+        );
         let reply = client.raw(&[b"CONFIG", b"GET", b"forensics"]).unwrap();
-        let Value::Array(kv) = &reply else {
-            panic!("CONFIG GET forensics: {reply:?}")
+        assert!(
+            matches!(&reply, Value::Array(kv) if kv.is_empty()),
+            "{reply:?}"
+        );
+        let before = server.obs.exemplars.latency_histogram().count;
+        assert!(client.ping().unwrap());
+        assert!(server.obs.exemplars.latency_histogram().count > before);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unprofiled_server_never_drains() {
+        let store = MiniRedis::new(1_000_000, 5, 7);
+        let metrics = Arc::clone(store.metrics());
+        let mut server = Server::start(store).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        for key in 0..1_000u64 {
+            let _ = client.get(key % 100).unwrap();
+        }
+        assert!(client.ping().unwrap());
+        assert_eq!(metrics.server_profile_drains.get(), 0);
+        let reply = client.raw(&[b"TRACE", b"DUMP"]).unwrap();
+        let Value::Bulk(Some(trace)) = &reply else {
+            panic!("TRACE DUMP: {reply:?}")
         };
-        assert!(matches!(&kv[1], Value::Bulk(Some(v)) if v == b"off"));
-        let reply = client
-            .raw(&[b"CONFIG", b"SET", b"forensics", b"banana"])
-            .unwrap();
-        assert!(matches!(reply, Value::Error(_)));
-        let reply = client
-            .raw(&[b"CONFIG", b"SET", b"forensics", b"on"])
-            .unwrap();
-        assert!(matches!(&reply, Value::Simple(s) if s == "OK"));
+        let trace = String::from_utf8_lossy(trace);
+        assert!(trace.contains("\"command\""), "no command spans: {trace}");
+        assert!(!trace.contains("profile_drain"), "drained: {trace}");
         server.shutdown();
     }
 

@@ -16,8 +16,9 @@
 //!   footnote 3 discusses.
 //!
 //! Online profiling runs one step behind the GETs it observes. A GET does
-//! the lookup and the hit/miss counters, then appends `(tenant, key,
-//! size)` to a FIFO; [`MiniRedis::apply_profile_queue`] later feeds each
+//! the lookup and the hit/miss counters, then, if the store has a profiler
+//! or a fleet arena, appends `(tenant, key, size)` to a FIFO;
+//! [`MiniRedis::apply_profile_queue`] later feeds each
 //! queued GET, in order, to the KRR profiler and the fleet arena, and runs
 //! the exposition refresh on every [`EXPO_REFRESH_EVERY`]th GET — exactly
 //! what a GET did inline before. The server applies the queue after
@@ -273,29 +274,33 @@ impl MiniRedis {
     }
 
     /// Applies the queued GETs, then pushes the profiler's current
-    /// memory-footprint breakdown into the metrics registry so `INFO`'s
-    /// `# memory` section and a scrape of `/metrics` see fresh gauges and
-    /// counters.
+    /// memory-footprint breakdown and the fleet's tenant rows into the
+    /// metrics registry so `INFO`'s `# memory` and `# tenant` sections and
+    /// a scrape of `/metrics` see fresh gauges and counters.
     pub fn publish_footprint(&mut self) {
         self.apply_profile_queue();
+        self.publish_profile_rows();
+    }
+
+    /// The one writer of the profile gauges and tenant rows in the store
+    /// registry.
+    fn publish_profile_rows(&self) {
         if let Some(p) = &self.profiler {
             p.publish_footprint();
+        }
+        if let Some(f) = &self.fleet {
+            self.metrics.tenant_rows.set(f.summary());
         }
     }
 
     /// Periodic exposition refresh driven by the GET stream.
     fn refresh_expo(&self) {
-        if let Some(p) = &self.profiler {
-            p.publish_footprint();
-            if let Some(cell) = &self.mrc_cell {
-                cell.publish(p.mrc());
-            }
+        self.publish_profile_rows();
+        if let (Some(p), Some(cell)) = (&self.profiler, &self.mrc_cell) {
+            cell.publish(p.mrc());
         }
-        if let Some(f) = &self.fleet {
-            self.metrics.tenant_rows.set(f.summary());
-            if let Some(cell) = &self.fleet_cell {
-                cell.publish(f.view());
-            }
+        if let (Some(f), Some(cell)) = (&self.fleet, &self.fleet_cell) {
+            cell.publish(f.view());
         }
     }
 
@@ -396,11 +401,7 @@ impl MiniRedis {
                 self.metrics.cold_misses.inc();
             }
         }
-        if self.profiler.is_some()
-            || self.fleet.is_some()
-            || self.mrc_cell.is_some()
-            || self.fleet_cell.is_some()
-        {
+        if self.queues_gets() {
             self.profile_queue.push(QueuedGet {
                 key,
                 tenant: tenant.unwrap_or(0),
@@ -412,6 +413,13 @@ impl MiniRedis {
             }
         }
         hit
+    }
+
+    /// Whether a GET queues its profile: only a store with a profiler or
+    /// a fleet arena has one. Attached cells alone publish nothing.
+    #[must_use]
+    pub fn queues_gets(&self) -> bool {
+        self.profiler.is_some() || self.fleet.is_some()
     }
 
     /// Applies the queued GETs in order, each exactly as an unqueued GET
@@ -945,6 +953,19 @@ mod tests {
         assert_eq!(snap.accesses, 10);
         assert_eq!(snap.hits + snap.cold_misses, 10);
         assert_eq!(snap.hits, 1);
+    }
+
+    #[test]
+    fn publish_footprint_publishes_tenant_rows_without_a_cell() {
+        let mut r = MiniRedis::new(1_000_000, 5, 16);
+        r.enable_fleet_profiling(FleetConfig::new(KrrConfig::new(5.0).seed(6)));
+        for i in 0..25_000u64 {
+            r.get_for(Some(i % 4), i % 500);
+        }
+        r.publish_footprint();
+        let snap = r.metrics().snapshot();
+        assert_eq!(snap.tenant_rows.len(), 4);
+        assert!(snap.render_info().contains("tenant_count:4"));
     }
 
     #[test]

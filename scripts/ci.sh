@@ -77,7 +77,6 @@ grep -q "errors 0" /tmp/krr_flash_crowd.out
 # and never gate).
 cargo run --release --offline -q -p krr --bin krr -- doctor --offline . > /tmp/krr_doctor.out
 grep -q "BENCH_pipeline.json (krr-bench-pipeline-v3)" /tmp/krr_doctor.out
-grep -q "BENCH_doctor.json (krr-bench-doctor-v1)" /tmp/krr_doctor.out
 
 # Metrics round trip through the CLI: checkpoint (with METR) a run over a
 # trace prefix, --resume it over the whole trace, and require the MRC of an
@@ -124,8 +123,7 @@ rm -rf "$smoke"
 # and BENCH_fleet.json (1000+-tenant
 # arena in one process: aggregate /metrics scrape overhead under the same
 # 5% budget, per-tenant Footprint bytes within 1.1x of the allocator's
-# count, mean resident bytes per tenant at most 12,216) and BENCH_doctor.json (paired forensics on/off RESP A/B:
-# exemplar+profiler p99 cost under a 3% budget, MRC bit-identical).
+# count, mean resident bytes per tenant at most 12,216).
 if [ "${KRR_CI_BENCH:-0}" = "1" ]; then
     cargo bench -q --offline -p krr-bench --bench pipeline
     cargo bench -q --offline -p krr-bench --bench obs
@@ -134,7 +132,6 @@ if [ "${KRR_CI_BENCH:-0}" = "1" ]; then
     echo "$load_out"
     echo "$load_out" | grep -q '^load gate: pass (median of'
     cargo bench -q --offline -p krr-bench --bench fleet
-    cargo bench -q --offline -p krr-bench --bench doctor
 fi
 
 echo "ci: OK"

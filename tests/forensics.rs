@@ -8,9 +8,10 @@
 //!   whole offline path is exercised, not just the rule engine),
 //! * the phase profiler attributes real work during a multi-threaded
 //!   pipeline run and `/profile` serves non-empty collapsed-stack text,
-//! * and — the hard invariant — the MRC a profiled mini-Redis computes
-//!   is bit-identical whether forensics (exemplars + profiler) is on or
-//!   off, at any thread count: observability must never touch the model.
+//! * and — the hard invariant — the MRC an observed mini-Redis (exemplar
+//!   capture, phase profiler and flight recorder all running) reports
+//!   over RESP equals that of an in-process store fed the same accesses:
+//!   observability must never touch the model.
 
 mod support;
 
@@ -18,10 +19,9 @@ use krr::core::doctor::{diagnose, DoctorCounters};
 use krr::core::expo::{http_get, ExpoServer, ExpoSources};
 use krr::core::obs::FlightRecorder;
 use krr::core::sharded::ShardedKrr;
-use krr::core::KrrConfig;
-use krr::redis::resp::Value;
+use krr::core::{KrrConfig, Mrc};
 use krr::redis::{Client, MiniRedis, Server};
-use krr::trace::ycsb;
+use krr::trace::{ycsb, Request};
 use std::sync::Arc;
 use support::json;
 
@@ -176,32 +176,38 @@ fn profile_endpoint_is_nonempty_after_an_8_thread_run() {
     );
 }
 
-/// Runs the same client workload against a fresh profiled server and
-/// returns the resulting MRC CSV.
-fn mrc_over_resp(forensics_on: bool) -> String {
-    let mut store = MiniRedis::new(1_000_000, 5, 11);
-    store.enable_mrc_profiling(&KrrConfig::new(5.0).seed(7), 2);
-    let mut server = Server::start(store).unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    if !forensics_on {
-        let reply = client
-            .raw(&[b"CONFIG", b"SET", b"forensics", b"off"])
-            .unwrap();
-        assert!(matches!(&reply, Value::Simple(s) if s == "OK"));
+/// The `MRC` reply body for `mrc`, as the server renders it.
+fn render(mrc: &Mrc) -> String {
+    let mut body = String::from("cache_size,miss_ratio\n");
+    for &(x, y) in mrc.points().iter().filter(|&&(x, _)| x > 0.0) {
+        body.push_str(&format!("{x:.0},{y:.5}\n"));
     }
-    let trace = ycsb::WorkloadC::new(800, 0.9).generate(30_000, 13);
-    for r in &trace {
-        let _ = client.access(r.key, r.size.max(1)).unwrap();
-    }
-    let csv = client.mrc().unwrap();
-    server.shutdown();
-    csv
+    body
 }
 
 #[test]
-fn mrc_is_bit_identical_with_forensics_on_and_off() {
-    let on = mrc_over_resp(true);
-    let off = mrc_over_resp(false);
-    assert!(on.lines().count() > 1, "curve has data: {on}");
-    assert_eq!(on, off, "forensics changed the model's MRC");
+fn observed_server_mrc_equals_the_in_process_model() {
+    let profiled_store = || {
+        let mut store = MiniRedis::new(1_000_000, 5, 11);
+        store.enable_mrc_profiling(&KrrConfig::new(5.0).seed(7), 2);
+        store
+    };
+    let trace = ycsb::WorkloadC::new(800, 0.9).generate(30_000, 13);
+
+    let mut server = Server::start(profiled_store()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for r in &trace {
+        let _ = client.access(r.key, r.size.max(1)).unwrap();
+    }
+    let observed = client.mrc().unwrap();
+    server.shutdown();
+
+    // The same cache-aside sequence: GET, then SET on a miss.
+    let mut plain = profiled_store();
+    for r in &trace {
+        plain.access(&Request::get(r.key, r.size.max(1)));
+    }
+    let expected = render(&plain.mrc_profile().expect("profiling on"));
+    assert!(expected.lines().count() > 1, "curve has data: {expected}");
+    assert_eq!(observed, expected, "observing the server changed its MRC");
 }

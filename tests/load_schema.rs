@@ -62,7 +62,7 @@ const GOLDEN_PHASE: &[(&str, &str)] = &[
 
 /// A representative report from a real (tiny) loopback run: a burst
 /// schedule so the phases array is populated, with the A/B section
-/// filled in the way `run_ab` fills it.
+/// filled in the way `run_ab_forensics` fills it.
 fn representative_load_json() -> String {
     let trace = ycsb::WorkloadC::new(200, 0.9).generate(2_000, 13);
     let mut server = Server::start(MiniRedis::new(8 << 20, 5, 29)).unwrap();
