@@ -62,10 +62,6 @@ pub struct DoctorCounters {
     pub drift_events: u64,
     /// `watchdog.mae_ppm`.
     pub mae_ppm: u64,
-    /// Configured queue depth per worker, when known (`queue_depth`); used
-    /// to tell "high-water mark pinned at the credit limit" precisely.
-    /// `None` falls back to a uniform-saturation heuristic.
-    pub queue_depth_slots: Option<u64>,
     /// Exemplar-ring statistics, when an exemplar source is joined.
     pub exemplars: Option<ExemplarStats>,
 }
@@ -108,7 +104,6 @@ impl DoctorCounters {
             shard_accesses: arr("shard_accesses"),
             drift_events: num("watchdog_drift_events"),
             mae_ppm: num("watchdog_mae_ppm"),
-            queue_depth_slots: None,
             exemplars: None,
         }
     }
@@ -259,21 +254,16 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
     }
 
     // Playbook row 4: depth_hwm pinned at queue_depth with stalls —
-    // credit limit actually reached.
-    let pinned = match c.queue_depth_slots {
-        Some(slots) => slots > 0 && depth_max >= slots,
-        None => !c.ring_depth_hwm.is_empty() && depth_min == depth_max && depth_max >= 4,
-    };
+    // credit limit actually reached. The metrics carry no queue depth, so
+    // "pinned" means every worker's mark is equal and at least the
+    // default depth of 4.
+    let pinned = !c.ring_depth_hwm.is_empty() && depth_min == depth_max && depth_max >= 4;
     if pinned && c.stalls > 0 {
         findings.push(Finding {
             id: "queue_saturated",
             severity: "warn",
             finding: "queue high-water mark pinned at the credit limit with router stalls".into(),
-            evidence: ev(&[
-                ("depth_hwm_max", depth_max),
-                ("queue_depth", c.queue_depth_slots.unwrap_or(depth_max)),
-                ("stalls", c.stalls),
-            ]),
+            evidence: ev(&[("depth_hwm_max", depth_max), ("stalls", c.stalls)]),
             suggestion: "raise queue_depth".into(),
         });
     }
@@ -497,11 +487,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_saturation_uses_the_config_hint() {
+    fn queue_saturation_fires_when_every_hwm_is_pinned() {
         let report = diagnose(&DoctorCounters {
             stalls: 7,
             ring_depth_hwm: vec![4, 4, 4],
-            queue_depth_slots: Some(4),
             ..DoctorCounters::default()
         });
         let f = report

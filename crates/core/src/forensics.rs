@@ -6,9 +6,8 @@
 //! threshold re-derives itself from the ring's own [`LogHistogram`] every
 //! 64 observations), the connection thread captures an **exemplar**: the
 //! request id, tenant, latency, the span join key (`start_ns`, matching
-//! the Chrome-trace span timestamps in `/trace`), and the counter context
-//! active during the request — cumulative ring parks, the deep swap-chain
-//! length, and whether a `/metrics` scrape was in flight. Exemplars land
+//! the Chrome-trace span timestamps in `/trace`), and whether a
+//! `/metrics` scrape was in flight. Exemplars land
 //! in a bounded multi-writer lock-free ring (overwrite-oldest, losses
 //! counted); the expo server renders the most recent one per bucket as
 //! OpenMetrics exemplar syntax on `/metrics` and dumps the whole ring as
@@ -50,7 +49,7 @@ pub const EXEMPLAR_RING_CAPACITY: usize = 256;
 /// How many observations between threshold-bucket refreshes.
 const THRESHOLD_REFRESH: u64 = 64;
 
-/// One captured tail request with its counter context.
+/// One captured tail request with its span join key.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Exemplar {
     /// Per-server monotone request id (from [`ExemplarRing::next_request_id`]).
@@ -67,17 +66,9 @@ pub struct Exemplar {
     pub command_tag: u8,
     /// Whether a `/metrics` scrape was in flight during the request.
     pub scrape_in_progress: bool,
-    /// Cumulative router park count at capture time.
-    pub router_parks: u64,
-    /// Cumulative worker park count at capture time.
-    pub worker_parks: u64,
-    /// Cumulative deep stack updates (`updater.chain_len.count`) at
-    /// capture time — a cheap lock-free read, unlike a full histogram
-    /// snapshot.
-    pub deep_chains: u64,
 }
 
-const WORDS: usize = 8;
+const WORDS: usize = 5;
 
 fn pack_flags(ex: &Exemplar) -> u64 {
     u64::from(ex.command_tag) | (u64::from(ex.scrape_in_progress) << 8)
@@ -234,9 +225,6 @@ impl ExemplarRing {
             ex.latency_ns,
             ex.start_ns,
             pack_flags(ex),
-            ex.router_parks,
-            ex.worker_parks,
-            ex.deep_chains,
         ];
         for (w, v) in slot.words.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
@@ -312,9 +300,6 @@ impl ExemplarRing {
                 start_ns: words[3],
                 command_tag: (words[4] & 0xFF) as u8,
                 scrape_in_progress: words[4] & 0x100 != 0,
-                router_parks: words[5],
-                worker_parks: words[6],
-                deep_chains: words[7],
             });
         }
         exemplars.sort_by_key(|e| (e.start_ns, e.request_id));
@@ -344,16 +329,13 @@ impl ExemplarRing {
             }
             let _ = write!(
                 s,
-                "{{\"request_id\":{},\"tenant\":{},\"latency_ns\":{},\"start_ns\":{},\"command_tag\":{},\"scrape_in_progress\":{},\"router_parks\":{},\"worker_parks\":{},\"deep_chains\":{}}}",
+                "{{\"request_id\":{},\"tenant\":{},\"latency_ns\":{},\"start_ns\":{},\"command_tag\":{},\"scrape_in_progress\":{}}}",
                 e.request_id,
                 e.tenant.map_or_else(|| "null".to_string(), |t| t.to_string()),
                 e.latency_ns,
                 e.start_ns,
                 e.command_tag,
                 e.scrape_in_progress,
-                e.router_parks,
-                e.worker_parks,
-                e.deep_chains,
             );
         }
         s.push_str("]}");
@@ -389,9 +371,6 @@ mod tests {
             start_ns: 99,
             command_tag: 3,
             scrape_in_progress: true,
-            router_parks: 5,
-            worker_parks: 11,
-            deep_chains: 1000,
         };
         ring.capture(&ex);
         let dump = ring.snapshot();
@@ -470,16 +449,12 @@ mod tests {
                             start_ns: id,
                             command_tag: (id % 14) as u8,
                             scrape_in_progress: false,
-                            router_parks: id,
-                            worker_parks: id,
-                            deep_chains: id,
                         });
                         if i % 64 == 0 {
                             for e in ring.snapshot().exemplars {
                                 assert_eq!(e.tenant, Some(e.request_id));
                                 assert_eq!(e.latency_ns, e.request_id);
-                                assert_eq!(e.router_parks, e.request_id);
-                                assert_eq!(e.deep_chains, e.request_id);
+                                assert_eq!(e.start_ns, e.request_id);
                             }
                         }
                     }

@@ -49,7 +49,7 @@
 //! * [`profiler`] — always-on self-profiler: per-thread phase-attribution
 //!   totals behind the flight recorder, exported as folded flamegraph text.
 //! * [`forensics`] — tail-request exemplars: a lock-free ring of p99+
-//!   requests with their counter context (`krr-exemplars-v1`).
+//!   requests with their span join key (`krr-exemplars-v1`).
 //! * [`doctor`] — the PERFORMANCE.md counter-signature playbook as
 //!   machine-checked rules (`krr-doctor-v1`) plus the CI artifact
 //!   schema validator.

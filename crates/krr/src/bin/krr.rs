@@ -64,9 +64,7 @@ USAGE:
             [--resume FILE] [--serve ADDR] [--serve-hold SECS]
             [--tenants N] [--budget B] [--mrc-out DIR]
             (<trace.csv> | --workload <spec> ...)
-            (with --shards > 1, trace files are streamed through the
-             route-once pipeline and never fully materialized;
-             --trace-out dumps a Chrome trace for ui.perfetto.dev,
+            (--trace-out dumps a Chrome trace for ui.perfetto.dev,
              --stats-every/--stats-out emit a krr-stats-v1 JSONL
              timeline of windowed metric deltas;
              --checkpoint-out writes an atomic krr-ckpt-v1 checkpoint
@@ -323,6 +321,7 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be >= 1".into());
     }
+    let threads = threads_flag(&f)?;
     let ckpt_out = f.get("checkpoint-out").map(str::to_string);
     let mut ckpt_every: u64 = f.num("checkpoint-every", 0u64)?;
     if ckpt_out.is_some() && ckpt_every == 0 {
@@ -332,8 +331,7 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         return Err("--checkpoint-every needs --checkpoint-out <file>".into());
     }
     let resume_path = f.get("resume").map(str::to_string);
-    let checkpointing = ckpt_every > 0 || resume_path.is_some();
-    if checkpointing && f.positional.is_empty() {
+    if (ckpt_every > 0 || resume_path.is_some()) && f.positional.is_empty() {
         return Err(
             "checkpointing needs a positional trace file (resume offsets refer to it)".into(),
         );
@@ -426,7 +424,7 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
     // Start serving only after any checkpoint restore has been absorbed, so
     // the first scrape of a resumed run already sees the restored counters
     // (and a fresh process after a crash simply rebinds the address).
-    let mut expo = match &serve_addr {
+    let expo = match &serve_addr {
         Some(addr) => {
             let sources = krr::core::ExpoSources {
                 metrics: registry.clone(),
@@ -446,160 +444,90 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = f.num("threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be >= 1".into());
-    }
     // References seen so far; drives the stats timeline windows.
     let mut seen: u64 = resume_state.map_or(0, |(s, _, _, _)| s);
     let mut stats_err: Option<std::io::Error> = None;
     let t0 = std::time::Instant::now();
-    let (mrc, st) = if shards > 1 || checkpointing {
-        let mut bank = match &ckpt {
-            Some(ckpt) => {
-                let mut dec = ckpt
-                    .require(krr::core::checkpoint::SECTION_SHARDED)
-                    .map_err(|e| format!("resume: {e}"))?;
-                let bank = krr::core::sharded::ShardedKrr::load_state(&mut dec)
-                    .map_err(|e| format!("resume: {e}"))?;
-                eprintln!(
-                    "resumed at {seen} refs ({} shards; model flags come from the checkpoint)",
-                    bank.num_shards()
-                );
-                bank
-            }
-            None => krr::core::sharded::ShardedKrr::new(&cfg, shards),
-        };
-        if let Some(reg) = &registry {
-            bank.set_metrics(std::sync::Arc::clone(reg));
+    let mut bank = match &ckpt {
+        Some(ckpt) => {
+            let mut dec = ckpt
+                .require(krr::core::checkpoint::SECTION_SHARDED)
+                .map_err(|e| format!("resume: {e}"))?;
+            let bank = krr::core::sharded::ShardedKrr::load_state(&mut dec)
+                .map_err(|e| format!("resume: {e}"))?;
+            eprintln!(
+                "resumed at {seen} refs ({} shards; model flags come from the checkpoint)",
+                bank.num_shards()
+            );
+            bank
         }
-        if let Some(rec) = &recorder {
-            bank.set_recorder(std::sync::Arc::clone(rec));
-        }
-        let tick = |seen: &mut u64,
-                    timeline: &mut Option<krr::core::StatsTimeline<Box<dyn Write>>>,
-                    stats_err: &mut Option<std::io::Error>| {
-            *seen += 1;
-            if let Some(t) = timeline.as_mut() {
-                if let Err(e) = t.offer(*seen) {
-                    stats_err.get_or_insert(e);
-                }
-            }
-        };
-        if let Some(path) = f.positional.first() {
-            // Stream the file straight into the pipeline: the trace is
-            // never materialized, so file size doesn't bound memory. On
-            // resume, seek past the prefix the checkpoint already covers.
-            let mut stream = match resume_state {
-                Some((_, off, lineno, _)) => {
-                    trace_io::CsvStream::open_at(path, off, lineno as usize)
-                }
-                None => trace_io::CsvStream::open(path),
-            }
-            .map_err(|e| format!("{path}: {e}"))?;
-            if let Some(rec) = &recorder {
-                stream = stream.with_recorder(rec.register("csv-reader"), 0);
-            }
-            if checkpointing {
-                // Chunked: drain --checkpoint-every refs per pipeline run,
-                // then write an atomic checkpoint at the batch boundary.
-                // Chunk boundaries don't change results: per-shard order is
-                // global arrival order either way.
-                let chunk = if ckpt_every > 0 { ckpt_every } else { u64::MAX };
-                loop {
-                    let before = seen;
-                    let mut read_err = None;
-                    let refs = (&mut stream)
-                        .map_while(|res| match res {
-                            Ok(r) => Some((r.key, r.size)),
-                            Err(e) => {
-                                read_err = Some(e);
-                                None
-                            }
-                        })
-                        .inspect(|_| tick(&mut seen, &mut timeline, &mut stats_err))
-                        .take(usize::try_from(chunk).unwrap_or(usize::MAX));
-                    bank.process_stream(refs, threads);
-                    if let Some(e) = read_err {
-                        return Err(e.to_string());
-                    }
-                    // Chunk boundary: refresh the live /mrc view.
-                    if let Some(cell) = &mrc_cell {
-                        cell.publish(bank.mrc());
-                    }
-                    let advanced = seen - before;
-                    if let Some(out) = &ckpt_out {
-                        if advanced > 0 {
-                            write_model_checkpoint(
-                                out,
-                                &bank,
-                                registry.as_deref(),
-                                seen,
-                                stream.byte_offset(),
-                                stream.lineno() as u64,
-                                timeline.as_ref().map_or(0, |t| t.rows()),
-                            )?;
-                        }
-                    }
-                    if advanced < chunk {
-                        break;
-                    }
-                }
-            } else {
-                let mut read_err = None;
-                let refs = stream
-                    .map_while(|res| match res {
-                        Ok(r) => Some((r.key, r.size)),
-                        Err(e) => {
-                            read_err = Some(e);
-                            None
-                        }
-                    })
-                    .inspect(|_| tick(&mut seen, &mut timeline, &mut stats_err));
-                bank.process_stream(refs, threads);
-                if let Some(e) = read_err {
-                    return Err(e.to_string());
-                }
-            }
-        } else {
-            let trace = load_trace(&f)?;
-            let refs = trace
-                .iter()
-                .map(|r| (r.key, r.size))
-                .inspect(|_| tick(&mut seen, &mut timeline, &mut stats_err));
-            bank.process_stream(refs, threads);
-        }
-        (bank.mrc(), bank.stats())
-    } else {
-        let trace = load_trace(&f)?;
-        let mut model = KrrModel::new(cfg);
-        if let Some(reg) = &registry {
-            model.set_metrics(std::sync::Arc::clone(reg));
-        }
-        if let Some(rec) = &recorder {
-            model.set_recorder(rec.register("model"));
-        }
-        for r in &trace {
-            model.access(r.key, r.size);
-            seen += 1;
-            if let Some(t) = timeline.as_mut() {
-                if let Err(e) = t.offer(seen) {
-                    stats_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(reg) = &registry {
-            use krr::core::Footprint as _;
-            reg.publish_footprint(&model.footprint());
-        }
-        (model.mrc(), model.stats())
+        None => krr::core::sharded::ShardedKrr::new(&cfg, shards),
     };
-    if let Some(cell) = &mrc_cell {
-        cell.publish(mrc.clone());
+    if let Some(reg) = &registry {
+        bank.set_metrics(std::sync::Arc::clone(reg));
     }
+    if let Some(rec) = &recorder {
+        bank.set_recorder(std::sync::Arc::clone(rec));
+    }
+    // The trace is never materialized from a file, so file size doesn't
+    // bound memory. On resume, seek past the prefix the checkpoint covers.
+    let mut refs = Refs::open(
+        &f,
+        resume_state.map(|(_, off, lineno, _)| (off, lineno)),
+        recorder.as_deref(),
+    )?;
+    // Drain --checkpoint-every refs per pipeline run (all of them when not
+    // checkpointing), then write an atomic checkpoint at the batch
+    // boundary. Chunk boundaries don't change results: per-shard order is
+    // global arrival order either way.
+    let chunk = if ckpt_every > 0 { ckpt_every } else { u64::MAX };
+    loop {
+        let before = seen;
+        let mut read_err = None;
+        let batch = (&mut refs)
+            .map_while(|res| match res {
+                Ok(r) => Some((r.key, r.size)),
+                Err(e) => {
+                    read_err = Some(e);
+                    None
+                }
+            })
+            .inspect(|_| {
+                seen += 1;
+                if let Some(t) = timeline.as_mut() {
+                    if let Err(e) = t.offer(seen) {
+                        stats_err.get_or_insert(e);
+                    }
+                }
+            })
+            .take(usize::try_from(chunk).unwrap_or(usize::MAX));
+        bank.process_stream(batch, threads);
+        if let Some(e) = read_err {
+            return Err(e.to_string());
+        }
+        // Chunk boundary: refresh the live /mrc view.
+        if let Some(cell) = &mrc_cell {
+            cell.publish(bank.mrc());
+        }
+        let advanced = seen - before;
+        if let (Some(out), Refs::File(stream)) = (&ckpt_out, &refs) {
+            if advanced > 0 {
+                write_model_checkpoint(
+                    out,
+                    &bank,
+                    registry.as_deref(),
+                    seen,
+                    stream.byte_offset(),
+                    stream.lineno() as u64,
+                    timeline.as_ref().map_or(0, |t| t.rows()),
+                )?;
+            }
+        }
+        if advanced < chunk {
+            break;
+        }
+    }
+    let (mrc, st) = (bank.mrc(), bank.stats());
     if let Some(t) = timeline.as_mut() {
         if let Err(e) = t.finish(seen) {
             stats_err.get_or_insert(e);
@@ -634,18 +562,6 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         "processed {} refs ({} sampled, {} distinct) in {elapsed:?}",
         st.processed, st.sampled, st.distinct
     );
-    if let Some(reg) = &registry {
-        let snap = reg.snapshot();
-        if f.flag("metrics") {
-            eprintln!("{}", snap.render_info());
-        }
-        if let Some(path) = f.get("metrics-out") {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            krr::core::persist::write_metrics_json(std::io::BufWriter::new(file), &snap)
-                .map_err(|e| e.to_string())?;
-            eprintln!("wrote metrics snapshot to {path}");
-        }
-    }
     if let Some(t) = &timeline {
         if let Some(path) = &stats_out {
             eprintln!("wrote {} stats rows to {path}", t.rows());
@@ -657,33 +573,107 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         eprintln!("wrote Chrome trace to {path} (open it in ui.perfetto.dev)");
     }
+    finish_run(&f, registry.as_deref(), expo)
+}
+
+/// Where `krr model` reads references from: the positional trace file,
+/// streamed line by line, or a `--workload` generated in memory.
+enum Refs {
+    File(trace_io::CsvStream<BufReader<std::fs::File>>),
+    Generated(std::vec::IntoIter<Request>),
+}
+
+impl Refs {
+    /// Opens the trace file (at `resume`'s byte offset and line number,
+    /// when given), or else generates the `--workload`. A recorder gets
+    /// the file reader's stalls on a `csv-reader` ring.
+    fn open(
+        f: &Flags,
+        resume: Option<(u64, u64)>,
+        recorder: Option<&krr::core::FlightRecorder>,
+    ) -> Result<Self, String> {
+        let Some(path) = f.positional.first() else {
+            return Ok(Refs::Generated(load_trace(f)?.into_iter()));
+        };
+        let mut stream = match resume {
+            Some((off, lineno)) => trace_io::CsvStream::open_at(path, off, lineno as usize),
+            None => trace_io::CsvStream::open(path),
+        }
+        .map_err(|e| format!("{path}: {e}"))?;
+        if let Some(rec) = recorder {
+            stream = stream.with_recorder(rec.register("csv-reader"), 0);
+        }
+        Ok(Refs::File(stream))
+    }
+}
+
+impl Iterator for Refs {
+    type Item = std::io::Result<Request>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            Refs::File(stream) => stream.next(),
+            Refs::Generated(trace) => trace.next().map(Ok),
+        }
+    }
+}
+
+/// `--threads T`: pipeline workers, by default one per available core.
+fn threads_flag(f: &Flags) -> Result<usize, String> {
+    let default_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let threads: usize = f.num("threads", default_threads)?;
+    if threads == 0 {
+        return Err("--threads must be >= 1".into());
+    }
+    Ok(threads)
+}
+
+/// The tail of every `krr model` run: the `--metrics` / `--metrics-out`
+/// snapshot, `--serve-hold`, then the exposition server's shutdown.
+fn finish_run(
+    f: &Flags,
+    registry: Option<&krr::core::MetricsRegistry>,
+    expo: Option<krr::core::ExpoServer>,
+) -> Result<(), String> {
+    if let Some(reg) = registry {
+        let snap = reg.snapshot();
+        if f.flag("metrics") {
+            eprintln!("{}", snap.render_info());
+        }
+        if let Some(path) = f.get("metrics-out") {
+            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+            krr::core::persist::write_metrics_json(std::io::BufWriter::new(file), &snap)
+                .map_err(|e| e.to_string())?;
+            eprintln!("wrote metrics snapshot to {path}");
+        }
+    }
+    // A fast run tears the server down before anything can scrape it, so
+    // `--serve-hold SECS` optionally keeps it up after the trace ends.
+    if let Some(raw) = f.get("serve-hold") {
+        let secs: u64 = raw
+            .parse()
+            .map_err(|_| format!("--serve-hold {raw}: expected seconds"))?;
+        if expo.is_none() {
+            return Err("--serve-hold needs --serve".into());
+        }
+        if secs > 0 {
+            eprintln!("holding the exposition server for {secs}s");
+            std::thread::sleep(std::time::Duration::from_secs(secs));
+        }
+    }
     // Explicit shutdown (Drop would too) so the listener thread is joined
     // and the port released before the process reports success.
-    serve_hold(&f, expo.is_some())?;
-    if let Some(srv) = expo.as_mut() {
+    if let Some(mut srv) = expo {
         srv.shutdown();
     }
     Ok(())
 }
 
-/// `--serve-hold SECS`: a fast run tears the `--serve` server down before
-/// anything can scrape it, so optionally keep it up after the trace ends.
-fn serve_hold(f: &Flags, serving: bool) -> Result<(), String> {
-    let Some(raw) = f.get("serve-hold") else {
-        return Ok(());
-    };
-    let secs: u64 = raw
-        .parse()
-        .map_err(|_| format!("--serve-hold {raw}: expected seconds"))?;
-    if !serving {
-        return Err("--serve-hold needs --serve".into());
-    }
-    if secs > 0 {
-        eprintln!("holding the exposition server for {secs}s");
-        std::thread::sleep(std::time::Duration::from_secs(secs));
-    }
-    Ok(())
-}
+/// References per fleet-mode pipeline run: a live scraper watches the
+/// fleet converge at this cadence, and it bounds the buffered chunk.
+const FLEET_CHUNK: usize = 1_000_000;
 
 /// `krr model --tenants N`: fleet mode. The trace is split into `N`
 /// synthetic tenants by `key % N` (a stand-in for real tenant tags) and
@@ -695,14 +685,8 @@ fn serve_hold(f: &Flags, serving: bool) -> Result<(), String> {
 /// (`--serve-hold SECS` keeps the server up after it).
 fn cmd_model_fleet(f: &Flags, cfg: KrrConfig, tenants: u64) -> Result<(), String> {
     use krr::core::fleet::{FleetArena, FleetCell, FleetConfig};
-    let trace = load_trace(f)?;
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = f.num("threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be >= 1".into());
-    }
+    let mut refs = Refs::open(f, None, None)?;
+    let threads = threads_flag(f)?;
     let budget: f64 = f.num("budget", 4096.0f64)?;
     if budget <= 0.0 || budget.is_nan() {
         return Err("--budget must be positive".into());
@@ -717,7 +701,7 @@ fn cmd_model_fleet(f: &Flags, cfg: KrrConfig, tenants: u64) -> Result<(), String
     let cell = serve_addr
         .as_ref()
         .map(|_| std::sync::Arc::new(FleetCell::new()));
-    let mut expo = match &serve_addr {
+    let expo = match &serve_addr {
         Some(addr) => {
             let sources = krr::core::ExpoSources {
                 metrics: registry.clone(),
@@ -731,22 +715,23 @@ fn cmd_model_fleet(f: &Flags, cfg: KrrConfig, tenants: u64) -> Result<(), String
         }
         None => None,
     };
-    let refs: Vec<(u64, u64, u32)> = trace
-        .iter()
-        .map(|r| (r.key % tenants, r.key, r.size))
-        .collect();
     let t0 = std::time::Instant::now();
-    // Chunked so a live scraper watches the fleet converge mid-run.
-    for chunk in refs.chunks(1_000_000) {
-        arena.process_parallel(chunk, threads);
+    let mut chunk: Vec<(u64, u64, u32)> = Vec::with_capacity(FLEET_CHUNK);
+    loop {
+        chunk.clear();
+        for r in (&mut refs).take(FLEET_CHUNK) {
+            let r = r.map_err(|e| e.to_string())?;
+            chunk.push((r.key % tenants, r.key, r.size));
+        }
+        arena.process_parallel(&chunk, threads);
         if let Some(cell) = &cell {
             cell.publish(arena.view());
         }
+        if chunk.len() < FLEET_CHUNK {
+            break;
+        }
     }
     let elapsed = t0.elapsed();
-    if let Some(cell) = &cell {
-        cell.publish(arena.view());
-    }
     if let Some(dir) = f.get("mrc-out") {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
         let mut ids = arena.tenant_ids();
@@ -791,23 +776,7 @@ fn cmd_model_fleet(f: &Flags, cfg: KrrConfig, tenants: u64) -> Result<(), String
         st.sampled,
         st.distinct
     );
-    if let Some(reg) = &registry {
-        let snap = reg.snapshot();
-        if f.flag("metrics") {
-            eprintln!("{}", snap.render_info());
-        }
-        if let Some(path) = f.get("metrics-out") {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            krr::core::persist::write_metrics_json(std::io::BufWriter::new(file), &snap)
-                .map_err(|e| e.to_string())?;
-            eprintln!("wrote metrics snapshot to {path}");
-        }
-    }
-    serve_hold(f, expo.is_some())?;
-    if let Some(srv) = expo.as_mut() {
-        srv.shutdown();
-    }
-    Ok(())
+    finish_run(f, registry.as_deref(), expo)
 }
 
 /// Decodes the `STRM` section: (seen refs, byte offset, line number,

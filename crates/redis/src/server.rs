@@ -41,9 +41,9 @@
 //! Tail-latency forensics: every command draws a request id from an
 //! [`krr_core::forensics::ExemplarRing`]; commands whose latency lands in
 //! the top histogram bucket (≈p99+) are captured with their tenant,
-//! command tag, and a counter-context join (ring parks, deep-chain work,
-//! scrape-in-progress). Exemplar capture and the phase profiler are
-//! always on; `docs/PERFORMANCE.md` records their measured tail cost.
+//! command tag, and whether a `/metrics` scrape was in flight. Exemplar
+//! capture and the phase profiler are always on; `docs/PERFORMANCE.md`
+//! records their measured tail cost.
 //! Slow-log entries and `Command` trace spans carry the connection's
 //! tenant so fleet-mode tails are attributable.
 //!
@@ -62,7 +62,8 @@
 //!
 //! Every server carries an always-on [`FlightRecorder`]: each connection
 //! thread records a [`Phase::Command`] span per command into its own
-//! lock-free ring, and the store's profiler rings are attached at
+//! lock-free ring (a closed connection's ring passes to the next
+//! connection), and the store's profiler rings are attached at
 //! startup. `TRACE DUMP` drains everything as Chrome trace-event JSON.
 //! Commands slower than a configurable threshold (default 10 000 µs, the
 //! Redis default) also land in the slow log, queryable with `SLOWLOG GET`
@@ -142,9 +143,8 @@ struct ServerObs {
     recorder: Arc<FlightRecorder>,
     slowlog: SlowLog,
     /// Tail-request exemplar ring: every command gets a request id, p99+
-    /// commands are captured with their counter context.
+    /// commands are captured with their span join key.
     exemplars: Arc<ExemplarRing>,
-    next_conn: AtomicU64,
     /// Sources handed to the exposition server when `expo-port` is set.
     expo_sources: ExpoSources,
     /// The running exposition server, if `CONFIG SET expo-port` started one.
@@ -190,7 +190,6 @@ impl Server {
             recorder: Arc::clone(&recorder),
             slowlog: SlowLog::new(),
             exemplars,
-            next_conn: AtomicU64::new(0),
             expo_sources,
             expo: Mutex::new(None),
         });
@@ -294,6 +293,10 @@ fn parse_key(data: &[u8]) -> Option<u64> {
 /// (`INFO`, `TRACE DUMP`) holds a bounded amount of memory.
 const REPLY_SPILL: usize = 8 * 1024;
 
+/// Flight-recorder label of every connection's ring. Connections open at
+/// the same time hold separate rings; a closed one's ring is reused.
+const CONN_RING: &str = "conn-worker";
+
 /// A connection's socket with its reply buffer. Replies are appended to
 /// `out` and written out by [`Wire::flush_replies`]; as the `Read` side
 /// of the connection's `BufReader`, it flushes before every socket read,
@@ -349,10 +352,12 @@ fn serve_connection(
     stop: &AtomicBool,
     obs: &ServerObs,
 ) -> io::Result<()> {
-    let conn_id = obs.next_conn.fetch_add(1, Ordering::Relaxed);
-    let rec = obs.recorder.register(&format!("conn-{conn_id}"));
-    // Grabbed once so the exemplar capture path never takes the store
-    // lock. Whether GETs queue a profile is fixed before the server starts.
+    // One label for every connection: `register` hands a closed
+    // connection's ring to the next one, so churn cannot grow the recorder.
+    let rec = obs.recorder.register(CONN_RING);
+    // Grabbed once so counting commands and reply writes never takes the
+    // store lock. Whether GETs queue a profile is fixed before the server
+    // starts.
     let (metrics, queues_gets) = {
         let s = store.lock().expect("store poisoned");
         (Arc::clone(s.metrics()), s.queues_gets())
@@ -450,7 +455,7 @@ fn serve_connection(
         rec.record(Phase::Command, t0, dur, span_arg);
         obs.slowlog.offer(t0, dur, argv, tenant);
         if obs.exemplars.observe(dur) {
-            // Tail request: join the span key with the counter context a
+            // Tail request: keep the span join key and the scrape flag a
             // post-mortem needs. All reads are lock-free.
             obs.exemplars.capture(&Exemplar {
                 request_id,
@@ -459,9 +464,6 @@ fn serve_connection(
                 start_ns: t0,
                 command_tag: tag as u8,
                 scrape_in_progress: obs.exemplars.scrape_in_progress(),
-                router_parks: metrics.pipeline_router_parks.get(),
-                worker_parks: metrics.pipeline_worker_parks.get(),
-                deep_chains: metrics.chain_len.count(),
             });
         }
     }
@@ -817,6 +819,28 @@ mod tests {
         let info = client.info().unwrap();
         assert!(info.contains("keys:1"), "{info}");
         server.shutdown();
+    }
+
+    #[test]
+    fn closed_connections_hand_their_rings_on() {
+        let mut server = Server::start(MiniRedis::new(10_000, 5, 1)).unwrap();
+        for _ in 0..200 {
+            assert!(Client::connect(server.addr()).unwrap().ping().unwrap());
+        }
+        let conn_rows = server
+            .recorder()
+            .profiler()
+            .thread_totals()
+            .iter()
+            .filter(|t| t.label.starts_with("conn-"))
+            .count();
+        server.shutdown();
+        // One connection is open at a time; a ring only stays taken while
+        // its closed connection's thread is still winding down.
+        assert!(
+            (1..=8).contains(&conn_rows),
+            "{conn_rows} conn- rings after 200 sequential connections"
+        );
     }
 
     #[test]

@@ -129,12 +129,10 @@ pub struct MiniRedis {
     samples: usize,
     mode: SamplingMode,
     pool: Vec<PoolSlot>,
-    /// Logical request counter driving the LRU clock.
+    /// Logical request counter driving the LRU clock: one request is one
+    /// clock unit (Redis uses wall-clock seconds; a trace-driven store
+    /// uses request counts).
     ticks: u64,
-    /// Ticks per LRU clock unit (Redis uses wall-clock seconds; a
-    /// trace-driven store uses request counts).
-    clock_resolution: u64,
-    overhead_per_key: u64,
     stats: StoreStats,
     scratch: Vec<(u64, Entry)>,
     /// Dict hash seed, remembered so a BGSAVE checkpoint can rebuild the
@@ -182,8 +180,6 @@ impl MiniRedis {
             mode,
             pool: Vec::with_capacity(EVICTION_POOL_SIZE),
             ticks: 0,
-            clock_resolution: 1,
-            overhead_per_key: 0,
             stats: StoreStats::default(),
             scratch: Vec::new(),
             seed,
@@ -311,23 +307,9 @@ impl MiniRedis {
         &self.metrics
     }
 
-    /// Sets the per-key metadata overhead added to every object's size
-    /// (Redis entries carry dict/robj overhead; default 0 keeps experiments
-    /// in pure value bytes).
-    pub fn set_overhead_per_key(&mut self, bytes: u64) {
-        self.overhead_per_key = bytes;
-    }
-
-    /// Sets how many requests advance the LRU clock by one unit. Larger
-    /// values emulate Redis's coarse seconds-resolution clock.
-    pub fn set_clock_resolution(&mut self, ticks: u64) {
-        assert!(ticks >= 1);
-        self.clock_resolution = ticks;
-    }
-
     /// Current truncated LRU clock.
     fn lru_clock(&self) -> u32 {
-        ((self.ticks / self.clock_resolution) & LRU_CLOCK_MAX) as u32
+        (self.ticks & LRU_CLOCK_MAX) as u32
     }
 
     /// Idle time of an entry, handling 24-bit wraparound as
@@ -463,14 +445,14 @@ impl MiniRedis {
     /// write command executes).
     pub fn set(&mut self, key: u64, size: u32) {
         self.ticks += 1;
-        let size = u64::from(size.max(1)) + self.overhead_per_key;
+        let size = u64::from(size.max(1));
         if size > self.maxmemory {
             // Object can never fit; Redis would OOM-error the write.
             return;
         }
         let existing = self.dict.get(key).map(|e| u64::from(e.size));
         let incoming = match existing {
-            Some(old) => self.used_memory - old - self.overhead_per_key + size,
+            Some(old) => self.used_memory - old + size,
             None => self.used_memory + size,
         };
         let mut needed = incoming;
@@ -479,20 +461,17 @@ impl MiniRedis {
                 break;
             }
             needed = match self.dict.get(key).map(|e| u64::from(e.size)) {
-                Some(old) => self.used_memory - old - self.overhead_per_key + size,
+                Some(old) => self.used_memory - old + size,
                 None => self.used_memory + size,
             };
         }
         let clock = self.lru_clock();
         let stored = Entry {
-            size: (size - self.overhead_per_key) as u32,
+            size: size as u32,
             lru: clock,
         };
         match self.dict.insert(key, stored) {
-            Some(old) => {
-                self.used_memory =
-                    self.used_memory - u64::from(old.size) - self.overhead_per_key + size;
-            }
+            Some(old) => self.used_memory = self.used_memory - u64::from(old.size) + size,
             None => self.used_memory += size,
         }
     }
@@ -546,7 +525,7 @@ impl MiniRedis {
                 // not idleness); evict it.
                 let _ = entry;
                 let removed = self.dict.remove(slot.key).expect("peeked key vanished");
-                self.used_memory -= u64::from(removed.size) + self.overhead_per_key;
+                self.used_memory -= u64::from(removed.size);
                 self.stats.evictions += 1;
                 self.metrics.evictions.inc();
                 return true;
@@ -563,7 +542,7 @@ impl MiniRedis {
             .or_else(|| self.dict.iter().map(|(k, _)| k).find(|&k| k != protect));
         if let Some(key) = fallback {
             if let Some(removed) = self.dict.remove(key) {
-                self.used_memory -= u64::from(removed.size) + self.overhead_per_key;
+                self.used_memory -= u64::from(removed.size);
                 self.stats.evictions += 1;
                 self.metrics.evictions.inc();
                 return true;
@@ -614,8 +593,10 @@ impl MiniRedis {
                 SamplingMode::UniformRandom => 1,
             })
             .put_u64(self.seed)
-            .put_u64(self.clock_resolution)
-            .put_u64(self.overhead_per_key)
+            // The retired clock-resolution and per-key-overhead settings,
+            // kept at their only values so the `STOR` layout is unchanged.
+            .put_u64(1)
+            .put_u64(0)
             .put_u64(self.used_memory)
             .put_u64(self.ticks)
             .put_u64(self.stats.hits)
@@ -652,9 +633,12 @@ impl MiniRedis {
         if maxmemory == 0 || samples == 0 {
             return Err(invalid("checkpoint has zero maxmemory or samples"));
         }
+        if dec.u64()? != 1 || dec.u64()? != 0 {
+            return Err(invalid(
+                "checkpoint has a clock resolution other than 1 or a per-key overhead",
+            ));
+        }
         let mut store = Self::with_mode(maxmemory, samples, mode, seed);
-        store.clock_resolution = dec.u64()?.max(1);
-        store.overhead_per_key = dec.u64()?;
         let used_memory = dec.u64()?;
         store.ticks = dec.u64()?;
         store.stats = StoreStats {
@@ -840,11 +824,19 @@ mod tests {
     }
 
     #[test]
-    fn per_key_overhead_counts() {
-        let mut r = MiniRedis::new(1_000, 5, 5);
-        r.set_overhead_per_key(50);
-        r.set(1, 100);
-        assert_eq!(r.used_memory(), 150);
+    fn checkpoint_rejects_other_clock_resolutions_and_key_overheads() {
+        let mut enc = Enc::new();
+        MiniRedis::new(1_000, 5, 5).save_state(&mut enc);
+        let good = enc.into_bytes();
+        assert!(MiniRedis::load_state(&mut Dec::new(&good)).is_ok());
+        // After maxmemory, samples, the mode tag and the seed: the clock
+        // resolution (always 1) and the per-key overhead (always 0).
+        for (at, v) in [(25, 2u64), (33, 50)] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            let err = MiniRedis::load_state(&mut Dec::new(&bad)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -106,6 +106,17 @@ krr model --rate 0.01 --shards 8 --threads 4 \
     --metrics-out "$smoke/sampled-metrics.json" "$smoke/trace.csv" > "$smoke/sampled-4.csv"
 cmp "$smoke/sampled-1.csv" "$smoke/sampled-4.csv"
 grep -q '"accesses":50000' "$smoke/sampled-metrics.json"
+# The other trace subcommands on the same trace: each must exit 0 and
+# print what it reports.
+krr stats "$smoke/trace.csv" > "$smoke/stats.out"
+grep -q "^requests: *50000$" "$smoke/stats.out"
+krr simulate --policy klru:5 "$smoke/trace.csv" > "$smoke/simulate.out"
+grep -q "^cache_size,miss_ratio$" "$smoke/simulate.out"
+krr compare "$smoke/trace.csv" > "$smoke/compare.out"
+grep -q "^cache_size,simulated,krr,abs_err$" "$smoke/compare.out"
+krr analyze "$smoke/trace.csv" > "$smoke/analyze.out"
+grep -q "^requests: *50000$" "$smoke/analyze.out"
+krr plot "$smoke/mrc.csv" "$smoke/sampled-1.csv" > "$smoke/plot.out"
 rm -rf "$smoke"
 
 # Optional perf tracking: KRR_CI_BENCH=1 refreshes BENCH_pipeline.json
