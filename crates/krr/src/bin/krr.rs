@@ -12,10 +12,16 @@
 //! `ycsb-e:<alpha>`, `twitter:<cluster>` (26.0, 34.1, 45.0, 52.7),
 //! `zipf:<alpha>:<keys>`, `loop:<len>`.
 
+use krr::core::checkpoint::{SECTION_METRICS, SECTION_SHARDED, SECTION_STREAM};
+use krr::core::expo::RingWriter;
+use krr::core::fleet::{FleetArena, FleetCell, FleetConfig};
+use krr::core::{CheckpointReader, ExpoServer, ExpoSources, FlightRecorder, MetricsRegistry};
+use krr::core::{MetricsSnapshot, MrcCell, StatsRing, StatsTimeline};
 use krr::prelude::*;
 use krr::trace::{io as trace_io, msr, patterns, twitter, ycsb};
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,31 +63,34 @@ USAGE:
                [--var-size] [--out FILE]
   krr stats <trace.csv>
   krr model [--k K] [--rate R] [--updater backward|topdown|naive]
-            [--bytes] [--seed X] [--shards S] [--threads T] [--metrics]
+            [--bytes] [--seed X] [--threads T] [--metrics]
             [--metrics-out FILE] [--trace-out FILE]
-            [--stats-every N] [--stats-out FILE]
-            [--checkpoint-every N] [--checkpoint-out FILE]
-            [--resume FILE] [--serve ADDR] [--serve-hold SECS]
-            [--tenants N] [--budget B] [--mrc-out DIR]
+            [--serve ADDR [--serve-hold SECS]]
+            ( [--shards S] [--stats-every N] [--stats-out FILE]
+              [--checkpoint-every N] [--checkpoint-out FILE] [--resume FILE]
+            | --tenants N [--budget B] [--mrc-out DIR] )
             (<trace.csv> | --workload <spec> ...)
             (--trace-out dumps a Chrome trace for ui.perfetto.dev,
              --stats-every/--stats-out emit a krr-stats-v1 JSONL
              timeline of windowed metric deltas;
              --checkpoint-out writes an atomic krr-ckpt-v1 checkpoint
              every --checkpoint-every refs (default 1000000), and
-             --resume restores one and finishes the same trace file
-             with bit-identical results;
+             --resume restores one (model flags come from it) and
+             finishes the same trace file with bit-identical results;
              --serve binds a live exposition HTTP server, e.g.
              127.0.0.1:9184, answering /metrics /mrc /stats /trace
-             /healthz while the run is in flight; --serve-hold keeps
-             it up SECS seconds after the run so short traces can
+             /healthz while the run is in flight (refreshed every
+             1000000 refs, or every --checkpoint-every); --serve-hold
+             keeps it up SECS seconds after the run so short traces can
              still be scraped (default 0: shut down immediately);
              --tenants N switches to fleet mode: the trace splits into
              N tenants by key % N, each profiled by its own KRR model;
              stdout becomes a per-tenant summary (miss ratio at
              --budget, default 4096 objects), --mrc-out writes one
-             tenant-<id>.csv per tenant, and --serve additionally
-             answers /tenants and /mrc?tenant=ID)
+             tenant-<id>.csv per tenant, and --serve answers /tenants
+             and /mrc?tenant=ID in place of /mrc;
+             a flag of the other mode, or any flag not listed, is an
+             error)
   krr simulate [--policy lru|klru:K|klfu:K] [--sizes N] [--bytes]
                (<trace.csv> | --workload <spec> ...)
   krr compare [--k K] [--sizes N] (<trace.csv> | --workload <spec> ...)
@@ -132,23 +141,24 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the arguments of `krr <cmd>`, which reads the `--name value`
+    /// options named in `values` and the bare `--name` switches named in
+    /// `switches` (each a list of space-separated names). Any other
+    /// `--name` is an error naming it and the subcommand.
+    fn parse(cmd: &str, args: &[String], values: &[&str], switches: &str) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut positional = Vec::new();
+        let listed = |names: &str, name: &str| names.split_whitespace().any(|n| n == name);
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
-                if name == "var-size"
-                    || name == "bytes"
-                    || name == "metrics"
-                    || name == "ab"
-                    || name == "no-prefill"
-                    || name == "offline"
-                {
+                if listed(switches, name) {
                     pairs.push((name.to_string(), "true".to_string()));
-                } else {
+                } else if values.iter().any(|names| listed(names, name)) {
                     let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     pairs.push((name.to_string(), v.clone()));
+                } else {
+                    return Err(format!("krr {cmd} has no flag --{name} (see krr help)"));
                 }
             } else {
                 positional.push(a.clone());
@@ -165,19 +175,44 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: cannot parse {v:?}")),
+    /// The parsed value of `--name`, if given.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("--{name}: cannot parse {v:?}"))
+        };
+        self.get(name).map(parse).transpose()
+    }
+
+    /// `--name N` for a count that must be at least 1, if given.
+    fn count(&self, name: &str) -> Result<Option<u64>, String> {
+        match self.opt(name)? {
+            Some(0) => Err(format!("--{name} must be >= 1")),
+            n => Ok(n),
         }
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
     }
 
     fn flag(&self, name: &str) -> bool {
         self.get(name).is_some()
     }
+
+    /// The first of the space-separated `names` given on the command line.
+    fn any_of<'n>(&self, names: &'n str) -> Option<&'n str> {
+        names.split_whitespace().find(|n| self.flag(n))
+    }
 }
+
+/// The options [`load_trace`] reads, for every subcommand that takes a
+/// trace file or a `--workload`; `--var-size` is its one switch.
+const TRACE_OPTS: &str = "workload requests seed scale";
+
+/// The trace flags that only shape a generated `--workload` (`--seed` may
+/// also seed the subcommand itself).
+const WORKLOAD_ONLY: &str = "workload requests scale var-size";
 
 fn build_workload(
     spec: &str,
@@ -241,9 +276,23 @@ fn build_workload(
     }
 }
 
+/// The positional trace file, if given. Beside a file the flags that shape
+/// a generated workload would do nothing, so they are errors, as is a
+/// second file.
+fn trace_file(f: &Flags) -> Result<Option<&str>, String> {
+    match f.positional.as_slice() {
+        [] => Ok(None),
+        [path] => match f.any_of(WORKLOAD_ONLY) {
+            Some(name) => Err(format!("--{name} cannot be combined with a trace file")),
+            None => Ok(Some(path)),
+        },
+        files => Err(format!("expected one trace file, got {}", files.len())),
+    }
+}
+
 /// Loads the trace from a positional CSV path or synthesizes from flags.
 fn load_trace(f: &Flags) -> Result<Trace, String> {
-    if let Some(path) = f.positional.first() {
+    if let Some(path) = trace_file(f)? {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
         return trace_io::read_csv(BufReader::new(file)).map_err(|e| e.to_string());
     }
@@ -260,7 +309,7 @@ fn load_trace(f: &Flags) -> Result<Trace, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("generate", args, &[TRACE_OPTS, "out"], "var-size")?;
     let spec = f.get("workload").ok_or("--workload <spec> is required")?;
     let trace = build_workload(
         spec,
@@ -284,7 +333,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("stats", args, &[TRACE_OPTS], "var-size")?;
     let trace = load_trace(&f)?;
     let s = krr::trace::stats(&trace);
     println!("requests:           {}", s.requests);
@@ -294,8 +343,44 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `krr model` options beyond [`TRACE_OPTS`]; its switches are
+/// `--var-size`, `--bytes` and `--metrics`.
+const MODEL_OPTS: &str = "k rate updater shards threads metrics-out trace-out stats-every \
+    stats-out checkpoint-every checkpoint-out resume serve serve-hold tenants budget mrc-out";
+
+/// Flags a fleet run (`--tenants`) cannot honour: a fleet arena has no
+/// shards and no checkpoint format, and a buffered fleet chunk would close
+/// stats windows before their references are applied.
+const BANK_ONLY: &str = "shards checkpoint-out checkpoint-every resume stats-every stats-out";
+
+/// Flags only a fleet run reads.
+const FLEET_ONLY: &str = "budget mrc-out";
+
+/// Model flags a `--resume` run takes from its checkpoint instead.
+const CHECKPOINTED: &str = "k rate updater bytes seed";
+
+/// References per chunk of the `krr model` loop when not checkpointing: a
+/// live scraper sees `/mrc` or `/tenants` refresh at this cadence, and it
+/// bounds a fleet run's buffered chunk.
+const MODEL_CHUNK: u64 = 1_000_000;
+
 fn cmd_model(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let switches = "var-size bytes metrics";
+    let f = Flags::parse("model", args, &[TRACE_OPTS, MODEL_OPTS], switches)?;
+    let tenants = f.count("tenants")?;
+    let (foreign, why) = match tenants {
+        Some(_) => (BANK_ONLY, "cannot be combined with --tenants"),
+        None => (FLEET_ONLY, "needs --tenants"),
+    };
+    if let Some(name) = f.any_of(foreign) {
+        return Err(format!("--{name} {why}"));
+    }
+    let resume_path = f.get("resume");
+    if let (Some(_), Some(name)) = (resume_path, f.any_of(CHECKPOINTED)) {
+        return Err(format!(
+            "--{name} cannot be combined with --resume: model flags come from the checkpoint"
+        ));
+    }
     let k: f64 = f.num("k", 5.0)?;
     let rate: f64 = f.num("rate", 1.0)?;
     let updater = match f.get("updater").unwrap_or("backward") {
@@ -313,62 +398,45 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
     if f.flag("bytes") {
         cfg = cfg.byte_level(2, 4096);
     }
-    let tenants: u64 = f.num("tenants", 0u64)?;
-    if tenants > 0 {
-        return cmd_model_fleet(&f, cfg, tenants);
-    }
-    let shards: usize = f.num("shards", 1usize)?;
-    if shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
-    let threads = threads_flag(&f)?;
-    let ckpt_out = f.get("checkpoint-out").map(str::to_string);
-    let mut ckpt_every: u64 = f.num("checkpoint-every", 0u64)?;
-    if ckpt_out.is_some() && ckpt_every == 0 {
-        ckpt_every = 1_000_000;
-    }
-    if ckpt_every > 0 && ckpt_out.is_none() {
+    let shards = f.count("shards")?;
+    // Pipeline workers, by default one per available core.
+    let threads = match f.count("threads")? {
+        Some(t) => t as usize,
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    let ckpt_out = f.get("checkpoint-out");
+    if f.flag("checkpoint-every") && ckpt_out.is_none() {
         return Err("--checkpoint-every needs --checkpoint-out <file>".into());
     }
-    let resume_path = f.get("resume").map(str::to_string);
-    if (ckpt_every > 0 || resume_path.is_some()) && f.positional.is_empty() {
-        return Err(
-            "checkpointing needs a positional trace file (resume offsets refer to it)".into(),
-        );
+    // Drain `chunk` refs per pipeline run, then publish the live view and
+    // write any checkpoint at the batch boundary. Chunk boundaries don't
+    // change results: per-model order is global arrival order either way.
+    let chunk = f.count("checkpoint-every")?.unwrap_or(MODEL_CHUNK);
+    if (ckpt_out.is_some() || resume_path.is_some()) && f.positional.is_empty() {
+        return Err("checkpointing needs a trace file (resume offsets refer to it)".into());
+    }
+    let serve_addr = f.get("serve");
+    let serve_hold: Option<u64> = f.opt("serve-hold")?;
+    if serve_hold.is_some() && serve_addr.is_none() {
+        return Err("--serve-hold needs --serve".into());
     }
     // Open the checkpoint before any observability is wired up: restored
     // metrics must land in the registry before the stats timeline takes
     // its first snapshot.
-    let ckpt = match &resume_path {
-        Some(path) => {
-            Some(krr::core::CheckpointReader::open(path).map_err(|e| format!("{path}: {e}"))?)
-        }
-        None => None,
-    };
-    let trace_out = f.get("trace-out").map(str::to_string);
-    let stats_out = f.get("stats-out").map(str::to_string);
-    let mut stats_every: u64 = f.num("stats-every", 0u64)?;
-    if stats_out.is_some() && stats_every == 0 {
-        stats_every = 100_000;
-    }
-    let serve_addr = f.get("serve").map(str::to_string);
-    let want_metrics = f.flag("metrics")
-        || f.get("metrics-out").is_some()
-        || stats_every > 0
-        || serve_addr.is_some();
-    let registry = want_metrics.then(|| std::sync::Arc::new(krr::core::MetricsRegistry::new()));
-    let mrc_cell = serve_addr
-        .as_ref()
-        .map(|_| std::sync::Arc::new(krr::core::MrcCell::new()));
-    let stats_ring = serve_addr
-        .as_ref()
-        .map(|_| std::sync::Arc::new(krr::core::StatsRing::new()));
-    let recorder = trace_out
-        .as_ref()
-        .map(|_| std::sync::Arc::new(krr::core::FlightRecorder::new()));
+    let ckpt = resume_path
+        .map(|path| CheckpointReader::open(path).map_err(|e| format!("{path}: {e}")))
+        .transpose()?;
+    let trace_out = f.get("trace-out");
+    let stats_out = f.get("stats-out");
+    let stats_every = f.count("stats-every")?.or(stats_out.map(|_| 100_000));
+    let want_metrics =
+        f.flag("metrics") || f.flag("metrics-out") || stats_every.is_some() || serve_addr.is_some();
+    let registry = want_metrics.then(|| Arc::new(MetricsRegistry::new()));
+    let stats_ring = serve_addr.map(|_| Arc::new(StatsRing::new()));
+    let recorder = trace_out.map(|_| Arc::new(FlightRecorder::new()));
     if let (Some(ckpt), Some(reg)) = (&ckpt, &registry) {
-        if let Some(mut dec) = ckpt.section(krr::core::checkpoint::SECTION_METRICS) {
-            let snap = krr::core::MetricsSnapshot::load_state(&mut dec)
+        if let Some(mut dec) = ckpt.section(SECTION_METRICS) {
+            let snap = MetricsSnapshot::load_state(&mut dec)
                 .map_err(|e| format!("resume metrics: {e}"))?;
             reg.absorb(&snap);
         }
@@ -377,98 +445,48 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
     let resume_state = match &ckpt {
         Some(ckpt) => {
             let mut dec = ckpt
-                .require(krr::core::checkpoint::SECTION_STREAM)
+                .require(SECTION_STREAM)
                 .map_err(|e| format!("resume: {e}"))?;
-            Some(read_stream_state(&mut dec).map_err(|e| format!("resume stream state: {e}"))?)
+            let mut next = || dec.u64().map_err(|e| format!("resume stream state: {e}"));
+            Some((next()?, next()?, next()?, next()?))
         }
         None => None,
     };
-    let mut timeline: Option<krr::core::StatsTimeline<Box<dyn Write>>> = if stats_every > 0 {
-        let reg = registry.as_ref().expect("stats imply a registry");
-        let out: Box<dyn Write> = match &stats_out {
-            Some(path) => {
-                // On resume, append: the previous run's rows stay and the
-                // timeline continues where the checkpoint left off.
-                let file = if resume_path.is_some() {
-                    std::fs::OpenOptions::new()
-                        .append(true)
-                        .create(true)
-                        .open(path)
-                } else {
-                    std::fs::File::create(path)
+    let mut timeline = match (stats_every, &registry) {
+        (Some(every), Some(reg)) => {
+            let out: Box<dyn Write> = match stats_out {
+                Some(path) => {
+                    // On resume, append: the previous run's rows stay and the
+                    // timeline continues where the checkpoint left off.
+                    let file = if resume_path.is_some() {
+                        std::fs::OpenOptions::new()
+                            .append(true)
+                            .create(true)
+                            .open(path)
+                    } else {
+                        std::fs::File::create(path)
+                    }
+                    .map_err(|e| format!("{path}: {e}"))?;
+                    Box::new(std::io::BufWriter::new(file))
                 }
-                .map_err(|e| format!("{path}: {e}"))?;
-                Box::new(std::io::BufWriter::new(file))
-            }
-            None => Box::new(std::io::stderr()),
-        };
-        // Tee the JSONL rows into the /stats ring when serving.
-        let out: Box<dyn Write> = match &stats_ring {
-            Some(ring) => Box::new(krr::core::expo::RingWriter::new(
-                Some(out),
-                std::sync::Arc::clone(ring),
-            )),
-            None => out,
-        };
-        Some(krr::core::StatsTimeline::new(
-            std::sync::Arc::clone(reg),
-            out,
-            stats_every,
-        ))
-    } else {
-        None
+                None => Box::new(std::io::stderr()),
+            };
+            // Tee the JSONL rows into the /stats ring when serving.
+            let out: Box<dyn Write> = match &stats_ring {
+                Some(ring) => Box::new(RingWriter::new(Some(out), Arc::clone(ring))),
+                None => out,
+            };
+            Some(StatsTimeline::new(Arc::clone(reg), out, every))
+        }
+        _ => None,
     };
     if let (Some((seen0, _, _, rows)), Some(t)) = (resume_state, timeline.as_mut()) {
         t.resume_at(seen0, rows);
     }
-    // Start serving only after any checkpoint restore has been absorbed, so
-    // the first scrape of a resumed run already sees the restored counters
-    // (and a fresh process after a crash simply rebinds the address).
-    let expo = match &serve_addr {
-        Some(addr) => {
-            let sources = krr::core::ExpoSources {
-                metrics: registry.clone(),
-                mrc: mrc_cell.clone(),
-                stats: stats_ring.clone(),
-                trace: recorder.clone(),
-                tenants: None,
-                exemplars: None,
-                profiler: recorder
-                    .as_ref()
-                    .map(|r| std::sync::Arc::clone(r.profiler())),
-            };
-            let srv = krr::core::ExpoServer::start(addr.as_str(), sources)
-                .map_err(|e| format!("--serve {addr}: {e}"))?;
-            eprintln!("serving live metrics on http://{}/metrics", srv.addr());
-            Some(srv)
-        }
-        None => None,
-    };
     // References seen so far; drives the stats timeline windows.
     let mut seen: u64 = resume_state.map_or(0, |(s, _, _, _)| s);
     let mut stats_err: Option<std::io::Error> = None;
     let t0 = std::time::Instant::now();
-    let mut bank = match &ckpt {
-        Some(ckpt) => {
-            let mut dec = ckpt
-                .require(krr::core::checkpoint::SECTION_SHARDED)
-                .map_err(|e| format!("resume: {e}"))?;
-            let bank = krr::core::sharded::ShardedKrr::load_state(&mut dec)
-                .map_err(|e| format!("resume: {e}"))?;
-            eprintln!(
-                "resumed at {seen} refs ({} shards; model flags come from the checkpoint)",
-                bank.num_shards()
-            );
-            bank
-        }
-        None => krr::core::sharded::ShardedKrr::new(&cfg, shards),
-    };
-    if let Some(reg) = &registry {
-        bank.set_metrics(std::sync::Arc::clone(reg));
-    }
-    if let Some(rec) = &recorder {
-        bank.set_recorder(std::sync::Arc::clone(rec));
-    }
     // The trace is never materialized from a file, so file size doesn't
     // bound memory. On resume, seek past the prefix the checkpoint covers.
     let mut refs = Refs::open(
@@ -476,11 +494,75 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         resume_state.map(|(_, off, lineno, _)| (off, lineno)),
         recorder.as_deref(),
     )?;
-    // Drain --checkpoint-every refs per pipeline run (all of them when not
-    // checkpointing), then write an atomic checkpoint at the batch
-    // boundary. Chunk boundaries don't change results: per-shard order is
-    // global arrival order either way.
-    let chunk = if ckpt_every > 0 { ckpt_every } else { u64::MAX };
+    let mut profile = match tenants {
+        Some(n) => {
+            let budget: f64 = f.num("budget", 4096.0)?;
+            if budget <= 0.0 || budget.is_nan() {
+                return Err("--budget must be positive".into());
+            }
+            let mut arena = FleetArena::new(FleetConfig::new(cfg).budget(budget));
+            if let Some(reg) = &registry {
+                arena.set_metrics(Arc::clone(reg));
+            }
+            if let Some(rec) = &recorder {
+                arena.set_recorder(Arc::clone(rec));
+            }
+            Profile::Fleet(arena, n, serve_addr.map(|_| Arc::new(FleetCell::new())))
+        }
+        None => {
+            let mut bank = match &ckpt {
+                Some(ckpt) => {
+                    let mut dec = ckpt
+                        .require(SECTION_SHARDED)
+                        .map_err(|e| format!("resume: {e}"))?;
+                    let bank =
+                        ShardedKrr::load_state(&mut dec).map_err(|e| format!("resume: {e}"))?;
+                    let n = bank.num_shards();
+                    if shards.is_some_and(|s| s != n as u64) {
+                        return Err(format!("--shards: the checkpoint has {n} shards"));
+                    }
+                    eprintln!(
+                        "resumed at {seen} refs ({n} shards; model flags come from the checkpoint)"
+                    );
+                    bank
+                }
+                None => ShardedKrr::new(&cfg, shards.unwrap_or(1) as usize),
+            };
+            if let Some(reg) = &registry {
+                bank.set_metrics(Arc::clone(reg));
+            }
+            if let Some(rec) = &recorder {
+                bank.set_recorder(Arc::clone(rec));
+            }
+            let cell = serve_addr.map(|_| Arc::new(MrcCell::new()));
+            Profile::Bank(bank, cell)
+        }
+    };
+    // Start serving only after any checkpoint restore has been absorbed, so
+    // the first scrape of a resumed run already sees the restored counters
+    // (and a fresh process after a crash simply rebinds the address).
+    let expo = match serve_addr {
+        Some(addr) => {
+            let (mrc, tenants) = match &profile {
+                Profile::Bank(_, cell) => (cell.clone(), None),
+                Profile::Fleet(.., cell) => (None, cell.clone()),
+            };
+            let sources = ExpoSources {
+                metrics: registry.clone(),
+                mrc,
+                stats: stats_ring.clone(),
+                trace: recorder.clone(),
+                tenants,
+                exemplars: None,
+                profiler: recorder.as_ref().map(|r| Arc::clone(r.profiler())),
+            };
+            let srv =
+                ExpoServer::start(addr, sources).map_err(|e| format!("--serve {addr}: {e}"))?;
+            eprintln!("serving live metrics on http://{}/metrics", srv.addr());
+            Some(srv)
+        }
+        None => None,
+    };
     loop {
         let before = seen;
         let mut read_err = None;
@@ -501,33 +583,34 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
                 }
             })
             .take(usize::try_from(chunk).unwrap_or(usize::MAX));
-        bank.process_stream(batch, threads);
+        profile.process(batch, threads);
         if let Some(e) = read_err {
             return Err(e.to_string());
         }
-        // Chunk boundary: refresh the live /mrc view.
-        if let Some(cell) = &mrc_cell {
-            cell.publish(bank.mrc());
-        }
+        profile.publish();
         let advanced = seen - before;
-        if let (Some(out), Refs::File(stream)) = (&ckpt_out, &refs) {
+        if let (Some(out), Refs::File(stream), Profile::Bank(bank, _)) = (ckpt_out, &refs, &profile)
+        {
+            // One atomic checkpoint: the bank (`SHRD`), the metrics (`METR`,
+            // when on) and the stream position (`STRM`, read back on resume).
             if advanced > 0 {
-                write_model_checkpoint(
-                    out,
-                    &bank,
-                    registry.as_deref(),
-                    seen,
-                    stream.byte_offset(),
-                    stream.lineno() as u64,
-                    timeline.as_ref().map_or(0, |t| t.rows()),
-                )?;
+                let mut w = krr::core::CheckpointWriter::new();
+                bank.save_state(w.section(SECTION_SHARDED));
+                if let Some(reg) = &registry {
+                    reg.snapshot().save_state(w.section(SECTION_METRICS));
+                }
+                w.section(SECTION_STREAM)
+                    .put_u64(seen)
+                    .put_u64(stream.byte_offset())
+                    .put_u64(stream.lineno() as u64)
+                    .put_u64(timeline.as_ref().map_or(0, |t| t.rows()));
+                w.write_atomic(out).map_err(|e| format!("{out}: {e}"))?;
             }
         }
         if advanced < chunk {
             break;
         }
     }
-    let (mrc, st) = (bank.mrc(), bank.stats());
     if let Some(t) = timeline.as_mut() {
         if let Err(e) = t.finish(seen) {
             stats_err.get_or_insert(e);
@@ -537,43 +620,137 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         return Err(format!("stats timeline: {e}"));
     }
     let elapsed = t0.elapsed();
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let _ = writeln!(out, "cache_size,miss_ratio");
-    // Downsample evenly to at most 2000 points so huge histograms stay
-    // plottable without chopping the tail off the curve.
-    let pts: Vec<(f64, f64)> = mrc
-        .points()
-        .iter()
-        .copied()
-        .filter(|&(x, _)| x > 0.0)
-        .collect();
-    let step = (pts.len() / 2_000).max(1);
-    for (i, &(x, y)) in pts.iter().enumerate() {
-        if i % step != 0 && i != pts.len() - 1 {
-            continue;
-        }
-        // Ignore EPIPE so `krr model ... | head` exits cleanly.
-        if writeln!(out, "{x:.0},{y:.5}").is_err() {
-            break;
-        }
-    }
-    drop(out);
+    profile.report(f.get("mrc-out"))?;
+    let st = profile.stats();
     eprintln!(
         "processed {} refs ({} sampled, {} distinct) in {elapsed:?}",
         st.processed, st.sampled, st.distinct
     );
-    if let Some(t) = &timeline {
-        if let Some(path) = &stats_out {
-            eprintln!("wrote {} stats rows to {path}", t.rows());
-        }
+    if let (Some(t), Some(path)) = (&timeline, stats_out) {
+        eprintln!("wrote {} stats rows to {path}", t.rows());
     }
-    if let (Some(path), Some(rec)) = (&trace_out, &recorder) {
+    if let (Some(path), Some(rec)) = (trace_out, &recorder) {
         let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
         rec.write_chrome_trace(std::io::BufWriter::new(file))
             .map_err(|e| e.to_string())?;
         eprintln!("wrote Chrome trace to {path} (open it in ui.perfetto.dev)");
     }
-    finish_run(&f, registry.as_deref(), expo)
+    if let Some(reg) = &registry {
+        let snap = reg.snapshot();
+        if f.flag("metrics") {
+            eprintln!("{}", snap.render_info());
+        }
+        if let Some(path) = f.get("metrics-out") {
+            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
+            krr::core::persist::write_metrics_json(std::io::BufWriter::new(file), &snap)
+                .map_err(|e| e.to_string())?;
+            eprintln!("wrote metrics snapshot to {path}");
+        }
+    }
+    // A fast run tears the server down before anything can scrape it, so
+    // `--serve-hold SECS` optionally keeps it up after the trace ends.
+    if let Some(secs) = serve_hold.filter(|&s| s > 0) {
+        eprintln!("holding the exposition server for {secs}s");
+        std::thread::sleep(std::time::Duration::from_secs(secs));
+    }
+    // Explicit shutdown (Drop would too) so the listener thread is joined
+    // and the port released before the process reports success.
+    if let Some(mut srv) = expo {
+        srv.shutdown();
+    }
+    Ok(())
+}
+
+/// What one `krr model` run profiles, with the cell it publishes into at
+/// each chunk boundary when serving: one curve over a sharded bank, or
+/// with `--tenants N` one curve per tenant in a fleet arena. The trace
+/// splits into the `N` tenants by `key % N`, a stand-in for tenant tags.
+enum Profile {
+    Bank(ShardedKrr, Option<Arc<MrcCell>>),
+    Fleet(FleetArena, u64, Option<Arc<FleetCell>>),
+}
+
+impl Profile {
+    /// Feeds one chunk of `(key, size)` references through the pipeline.
+    fn process(&mut self, refs: impl Iterator<Item = (u64, u32)>, threads: usize) {
+        match self {
+            Profile::Bank(bank, _) => bank.process_stream(refs, threads),
+            Profile::Fleet(arena, n, _) => {
+                let chunk: Vec<_> = refs.map(|(key, size)| (key % *n, key, size)).collect();
+                arena.process_parallel(&chunk, threads);
+            }
+        }
+    }
+
+    /// Refreshes the live `/mrc` or `/tenants` view, when serving.
+    fn publish(&self) {
+        match self {
+            Profile::Bank(bank, Some(cell)) => cell.publish(bank.mrc()),
+            Profile::Fleet(arena, _, Some(cell)) => cell.publish(arena.view()),
+            _ => {}
+        }
+    }
+
+    fn stats(&self) -> krr::ModelStats {
+        match self {
+            Profile::Bank(bank, _) => bank.stats(),
+            Profile::Fleet(arena, ..) => arena.stats(),
+        }
+    }
+
+    /// Prints the run's stdout: the MRC CSV, or the per-tenant summary CSV
+    /// after writing each tenant's MRC as `<mrc_out>/tenant-<id>.csv`.
+    fn report(&self, mrc_out: Option<&str>) -> Result<(), String> {
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        // Write errors are ignored so `krr model ... | head` exits cleanly.
+        match self {
+            Profile::Bank(bank, _) => {
+                let _ = writeln!(out, "cache_size,miss_ratio");
+                // Downsample evenly to at most 2000 points so huge
+                // histograms stay plottable without chopping the tail off
+                // the curve.
+                let mrc = bank.mrc();
+                let pts: Vec<_> = mrc.points().iter().filter(|p| p.0 > 0.0).collect();
+                let step = (pts.len() / 2_000).max(1);
+                let last = pts.len().saturating_sub(1);
+                for (i, (x, y)) in pts.into_iter().enumerate() {
+                    if (i % step == 0 || i == last) && writeln!(out, "{x:.0},{y:.5}").is_err() {
+                        break;
+                    }
+                }
+            }
+            Profile::Fleet(arena, ..) => {
+                // One view builds each tenant's MRC once for its file and
+                // its summary row.
+                let mut view = arena.view();
+                view.rows.sort_unstable_by_key(|r| r.id);
+                view.mrcs.sort_unstable_by_key(|&(id, _)| id);
+                if let Some(dir) = mrc_out {
+                    std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+                    for (id, mrc) in &view.mrcs {
+                        let path = format!("{dir}/tenant-{id}.csv");
+                        let file =
+                            std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+                        krr::core::persist::write_mrc(std::io::BufWriter::new(file), mrc)
+                            .map_err(|e| format!("{path}: {e}"))?;
+                    }
+                    eprintln!("wrote {} per-tenant MRCs to {dir}/", view.mrcs.len());
+                }
+                let _ = writeln!(
+                    out,
+                    "tenant,refs,resident,resident_bytes,miss_ratio_at_budget"
+                );
+                for r in &view.rows {
+                    let (id, refs, resident, bytes) = (r.id, r.refs, r.resident, r.resident_bytes);
+                    let ratio = r.miss_ratio_ppm as f64 / 1e6;
+                    if writeln!(out, "{id},{refs},{resident},{bytes},{ratio:.5}").is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Where `krr model` reads references from: the positional trace file,
@@ -590,9 +767,9 @@ impl Refs {
     fn open(
         f: &Flags,
         resume: Option<(u64, u64)>,
-        recorder: Option<&krr::core::FlightRecorder>,
+        recorder: Option<&FlightRecorder>,
     ) -> Result<Self, String> {
-        let Some(path) = f.positional.first() else {
+        let Some(path) = trace_file(f)? else {
             return Ok(Refs::Generated(load_trace(f)?.into_iter()));
         };
         let mut stream = match resume {
@@ -618,203 +795,9 @@ impl Iterator for Refs {
     }
 }
 
-/// `--threads T`: pipeline workers, by default one per available core.
-fn threads_flag(f: &Flags) -> Result<usize, String> {
-    let default_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads: usize = f.num("threads", default_threads)?;
-    if threads == 0 {
-        return Err("--threads must be >= 1".into());
-    }
-    Ok(threads)
-}
-
-/// The tail of every `krr model` run: the `--metrics` / `--metrics-out`
-/// snapshot, `--serve-hold`, then the exposition server's shutdown.
-fn finish_run(
-    f: &Flags,
-    registry: Option<&krr::core::MetricsRegistry>,
-    expo: Option<krr::core::ExpoServer>,
-) -> Result<(), String> {
-    if let Some(reg) = registry {
-        let snap = reg.snapshot();
-        if f.flag("metrics") {
-            eprintln!("{}", snap.render_info());
-        }
-        if let Some(path) = f.get("metrics-out") {
-            let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            krr::core::persist::write_metrics_json(std::io::BufWriter::new(file), &snap)
-                .map_err(|e| e.to_string())?;
-            eprintln!("wrote metrics snapshot to {path}");
-        }
-    }
-    // A fast run tears the server down before anything can scrape it, so
-    // `--serve-hold SECS` optionally keeps it up after the trace ends.
-    if let Some(raw) = f.get("serve-hold") {
-        let secs: u64 = raw
-            .parse()
-            .map_err(|_| format!("--serve-hold {raw}: expected seconds"))?;
-        if expo.is_none() {
-            return Err("--serve-hold needs --serve".into());
-        }
-        if secs > 0 {
-            eprintln!("holding the exposition server for {secs}s");
-            std::thread::sleep(std::time::Duration::from_secs(secs));
-        }
-    }
-    // Explicit shutdown (Drop would too) so the listener thread is joined
-    // and the port released before the process reports success.
-    if let Some(mut srv) = expo {
-        srv.shutdown();
-    }
-    Ok(())
-}
-
-/// References per fleet-mode pipeline run: a live scraper watches the
-/// fleet converge at this cadence, and it bounds the buffered chunk.
-const FLEET_CHUNK: usize = 1_000_000;
-
-/// `krr model --tenants N`: fleet mode. The trace is split into `N`
-/// synthetic tenants by `key % N` (a stand-in for real tenant tags) and
-/// profiled by a [`krr::core::FleetArena`] — one KRR model per tenant,
-/// routed through the shared pipeline in one pass. Stdout is a per-tenant
-/// summary CSV; `--mrc-out DIR` writes each tenant's MRC as
-/// `tenant-<id>.csv` (the files `krr partition` consumes), and `--serve`
-/// exposes `/tenants` + `/mrc?tenant=ID` live while the run is in flight
-/// (`--serve-hold SECS` keeps the server up after it).
-fn cmd_model_fleet(f: &Flags, cfg: KrrConfig, tenants: u64) -> Result<(), String> {
-    use krr::core::fleet::{FleetArena, FleetCell, FleetConfig};
-    let mut refs = Refs::open(f, None, None)?;
-    let threads = threads_flag(f)?;
-    let budget: f64 = f.num("budget", 4096.0f64)?;
-    if budget <= 0.0 || budget.is_nan() {
-        return Err("--budget must be positive".into());
-    }
-    let serve_addr = f.get("serve").map(str::to_string);
-    let want_metrics = f.flag("metrics") || f.get("metrics-out").is_some() || serve_addr.is_some();
-    let registry = want_metrics.then(|| std::sync::Arc::new(krr::core::MetricsRegistry::new()));
-    let mut arena = FleetArena::new(FleetConfig::new(cfg).budget(budget));
-    if let Some(reg) = &registry {
-        arena.set_metrics(std::sync::Arc::clone(reg));
-    }
-    let cell = serve_addr
-        .as_ref()
-        .map(|_| std::sync::Arc::new(FleetCell::new()));
-    let expo = match &serve_addr {
-        Some(addr) => {
-            let sources = krr::core::ExpoSources {
-                metrics: registry.clone(),
-                tenants: cell.clone(),
-                ..krr::core::ExpoSources::default()
-            };
-            let srv = krr::core::ExpoServer::start(addr.as_str(), sources)
-                .map_err(|e| format!("--serve {addr}: {e}"))?;
-            eprintln!("serving the fleet on http://{}/tenants", srv.addr());
-            Some(srv)
-        }
-        None => None,
-    };
-    let t0 = std::time::Instant::now();
-    let mut chunk: Vec<(u64, u64, u32)> = Vec::with_capacity(FLEET_CHUNK);
-    loop {
-        chunk.clear();
-        for r in (&mut refs).take(FLEET_CHUNK) {
-            let r = r.map_err(|e| e.to_string())?;
-            chunk.push((r.key % tenants, r.key, r.size));
-        }
-        arena.process_parallel(&chunk, threads);
-        if let Some(cell) = &cell {
-            cell.publish(arena.view());
-        }
-        if chunk.len() < FLEET_CHUNK {
-            break;
-        }
-    }
-    let elapsed = t0.elapsed();
-    if let Some(dir) = f.get("mrc-out") {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-        let mut ids = arena.tenant_ids();
-        ids.sort_unstable();
-        for &id in &ids {
-            let mrc = arena.tenant_mrc(id).expect("registered tenant has an MRC");
-            let path = format!("{dir}/tenant-{id}.csv");
-            let file = std::fs::File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            krr::core::persist::write_mrc(std::io::BufWriter::new(file), &mrc)
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-        eprintln!("wrote {} per-tenant MRCs to {dir}/", ids.len());
-    }
-    let mut rows = arena.summary();
-    rows.sort_unstable_by_key(|r| r.id);
-    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let _ = writeln!(
-        out,
-        "tenant,refs,resident,resident_bytes,miss_ratio_at_budget"
-    );
-    for r in &rows {
-        if writeln!(
-            out,
-            "{},{},{},{},{:.5}",
-            r.id,
-            r.refs,
-            r.resident,
-            r.resident_bytes,
-            r.miss_ratio_ppm as f64 / 1e6
-        )
-        .is_err()
-        {
-            break;
-        }
-    }
-    drop(out);
-    let st = arena.stats();
-    eprintln!(
-        "processed {} refs across {} tenants ({} sampled, {} distinct) in {elapsed:?}",
-        st.processed,
-        arena.len(),
-        st.sampled,
-        st.distinct
-    );
-    finish_run(f, registry.as_deref(), expo)
-}
-
-/// Decodes the `STRM` section: (seen refs, byte offset, line number,
-/// stats rows written).
-fn read_stream_state(
-    dec: &mut krr::core::checkpoint::Dec<'_>,
-) -> std::io::Result<(u64, u64, u64, u64)> {
-    Ok((dec.u64()?, dec.u64()?, dec.u64()?, dec.u64()?))
-}
-
-/// Writes one atomic `krr model` checkpoint: profiler bank (`SHRD`),
-/// metrics snapshot (`METR`, when metrics are on) and stream position
-/// (`STRM`).
-fn write_model_checkpoint(
-    path: &str,
-    bank: &krr::core::sharded::ShardedKrr,
-    registry: Option<&krr::core::MetricsRegistry>,
-    seen: u64,
-    byte_offset: u64,
-    lineno: u64,
-    stats_rows: u64,
-) -> Result<(), String> {
-    use krr::core::checkpoint::{SECTION_METRICS, SECTION_SHARDED, SECTION_STREAM};
-    let mut w = krr::core::CheckpointWriter::new();
-    bank.save_state(w.section(SECTION_SHARDED));
-    if let Some(reg) = registry {
-        reg.snapshot().save_state(w.section(SECTION_METRICS));
-    }
-    w.section(SECTION_STREAM)
-        .put_u64(seen)
-        .put_u64(byte_offset)
-        .put_u64(lineno)
-        .put_u64(stats_rows);
-    w.write_atomic(path).map_err(|e| format!("{path}: {e}"))
-}
-
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let switches = "var-size bytes";
+    let f = Flags::parse("simulate", args, &[TRACE_OPTS, "policy sizes"], switches)?;
     let trace = load_trace(&f)?;
     let n_sizes: usize = f.num("sizes", 25)?;
     let bytes = f.flag("bytes");
@@ -867,7 +850,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("compare", args, &[TRACE_OPTS, "k sizes"], "var-size")?;
     let trace = load_trace(&f)?;
     let k: u32 = f.num("k", 5)?;
     let n_sizes: usize = f.num("sizes", 25)?;
@@ -899,7 +882,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("analyze", args, &[TRACE_OPTS], "var-size")?;
     let trace = load_trace(&f)?;
     let c = krr::trace::analyze::characterize(&trace);
     println!("requests:        {}", c.requests);
@@ -924,7 +907,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_plot(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse("plot", args, &["width height"], "")?;
     if f.positional.is_empty() {
         return Err("plot needs one or more cache_size,miss_ratio CSV files".into());
     }
@@ -975,8 +958,8 @@ fn render_ascii_mrc(curves: &[(String, krr::Mrc)], width: usize, height: usize) 
 
 fn cmd_partition(args: &[String]) -> Result<(), String> {
     use krr::core::partition::{allocate_greedy, allocate_optimal, Tenant};
-    let f = Flags::parse(args)?;
-    let live = f.get("live").map(str::to_string);
+    let f = Flags::parse("partition", args, &["budget quantum live"], "")?;
+    let live = f.get("live");
     if f.positional.is_empty() && live.is_none() {
         return Err(
             "partition needs one or more cache_size,miss_ratio CSV files or --live HOST:PORT"
@@ -992,22 +975,12 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     }
     let quantum: u64 = f.num("quantum", (budget / 100).max(1))?;
     let mut tenants = Vec::new();
-    if let Some(live) = &live {
+    if let Some(live) = live {
         // Scrape the live fleet: tenant ids from /tenants?format=csv, then
         // each curve as the exact persist::write_mrc bytes, so a live
         // allocation is bit-for-bit the offline allocation over the same
         // curves.
-        let addr: std::net::SocketAddr = live
-            .parse()
-            .map_err(|_| format!("--live: cannot parse {live:?}"))?;
-        let (status, _, body) = krr::core::expo::http_get(addr, "/tenants?format=csv")
-            .map_err(|e| format!("--live {live}: {e}"))?;
-        if status != 200 {
-            return Err(format!(
-                "--live {live}/tenants: HTTP {status}: {}",
-                body.trim()
-            ));
-        }
+        let body = scrape(live, "/tenants?format=csv")?;
         let mut ids = Vec::new();
         for line in body.lines().skip(1).filter(|l| !l.trim().is_empty()) {
             let id = line.split(',').next().unwrap_or("");
@@ -1019,14 +992,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         ids.sort_unstable();
         for id in ids {
             let path = format!("/mrc?tenant={id}&format=csv");
-            let (status, _, body) = krr::core::expo::http_get(addr, &path)
-                .map_err(|e| format!("--live {live}{path}: {e}"))?;
-            if status != 200 {
-                return Err(format!(
-                    "--live {live}{path}: HTTP {status}: {}",
-                    body.trim()
-                ));
-            }
+            let body = scrape(live, &path)?;
             let mrc = krr::core::persist::read_mrc(body.as_bytes())
                 .map_err(|e| format!("{path}: {e}"))?;
             tenants.push(Tenant::new(id.to_string(), mrc, 1.0));
@@ -1057,9 +1023,27 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// GETs `path` from the exposition server at `live` (`HOST:PORT`, from
+/// `--live`); anything but a 200 answer is an error.
+fn scrape(live: &str, path: &str) -> Result<String, String> {
+    let addr: std::net::SocketAddr = live
+        .parse()
+        .map_err(|_| format!("--live: cannot parse {live:?}"))?;
+    let (status, _, body) =
+        krr::core::expo::http_get(addr, path).map_err(|e| format!("--live {live}{path}: {e}"))?;
+    if status != 200 {
+        return Err(format!(
+            "--live {live}{path}: HTTP {status}: {}",
+            body.trim()
+        ));
+    }
+    Ok(body)
+}
+
 fn cmd_load(args: &[String]) -> Result<(), String> {
     use krr::load::{AbConfig, Arrival, LoadConfig, Schedule};
-    let f = Flags::parse(args)?;
+    let opts = "qps arrival connections pipeline tenants addr maxmemory samples json";
+    let f = Flags::parse("load", args, &[TRACE_OPTS, opts], "var-size ab no-prefill")?;
     let trace = load_trace(&f)?;
     if trace.is_empty() {
         return Err("trace is empty".into());
@@ -1120,9 +1104,7 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
             if load_cfg.tenants > 0 {
                 // Tenant-selected connections should land somewhere: give
                 // the embedded server a fleet arena keyed by samples-as-K.
-                store.enable_fleet_profiling(krr::core::fleet::FleetConfig::new(KrrConfig::new(
-                    samples as f64,
-                )));
+                store.enable_fleet_profiling(FleetConfig::new(KrrConfig::new(samples as f64)));
             }
             let mut server = krr::redis::Server::start(store).map_err(|e| e.to_string())?;
             if prefill {
@@ -1147,7 +1129,12 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
 fn cmd_doctor(args: &[String]) -> Result<(), String> {
     use krr::core::doctor::{diagnose, validate_artifact, DoctorCounters};
     use krr::core::json;
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        "doctor",
+        args,
+        &["live metrics-in exemplars json"],
+        "offline",
+    )?;
 
     let read_json = |path: &str| -> Result<json::Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1157,18 +1144,11 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     let report = if let Some(live) = f.get("live") {
         // Live mode: the exposition server's JSON snapshot is the exact
         // krr-metrics-v1 document the offline path reads from a file.
-        let addr: std::net::SocketAddr = live
-            .parse()
-            .map_err(|_| format!("--live: cannot parse {live:?}"))?;
-        let (status, _, body) = krr::core::expo::http_get(addr, "/metrics?format=json")
-            .map_err(|e| format!("--live {live}: {e}"))?;
-        if status != 200 {
-            return Err(format!("--live {live}/metrics: HTTP {status}"));
-        }
+        let body = scrape(live, "/metrics?format=json")?;
         let doc = json::parse(&body).map_err(|e| format!("--live {live}/metrics: {e}"))?;
         let mut counters = DoctorCounters::from_metrics_json(&doc);
         // Exemplars are optional: a model-only server has no ring.
-        if let Ok((200, _, body)) = krr::core::expo::http_get(addr, "/exemplars") {
+        if let Ok(body) = scrape(live, "/exemplars") {
             if let Ok(doc) = json::parse(&body) {
                 counters.join_exemplars(&doc);
             }

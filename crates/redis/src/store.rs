@@ -43,7 +43,7 @@ use krr_core::checkpoint::{
     CheckpointReader, CheckpointWriter, Dec, Enc, SECTION_METRICS, SECTION_SHARDED, SECTION_STORE,
 };
 use krr_core::fleet::{FleetArena, FleetCell, FleetConfig};
-use krr_core::metrics::{MetricsRegistry, MetricsSnapshot};
+use krr_core::metrics::{MetricsRegistry, MetricsSnapshot, TenantRow};
 use krr_core::model::KrrConfig;
 use krr_core::mrc::Mrc;
 use krr_core::obs::FlightRecorder;
@@ -275,28 +275,38 @@ impl MiniRedis {
     /// a scrape of `/metrics` see fresh gauges and counters.
     pub fn publish_footprint(&mut self) {
         self.apply_profile_queue();
-        self.publish_profile_rows();
+        self.publish_profile_rows(None);
     }
 
     /// The one writer of the profile gauges and tenant rows in the store
-    /// registry.
-    fn publish_profile_rows(&self) {
+    /// registry; `rows` are the fleet's tenant rows when the caller has
+    /// already built them.
+    fn publish_profile_rows(&self, rows: Option<Vec<TenantRow>>) {
         if let Some(p) = &self.profiler {
             p.publish_footprint();
         }
         if let Some(f) = &self.fleet {
-            self.metrics.tenant_rows.set(f.summary());
+            self.metrics
+                .tenant_rows
+                .set(rows.unwrap_or_else(|| f.summary()));
         }
     }
 
-    /// Periodic exposition refresh driven by the GET stream.
+    /// Periodic exposition refresh driven by the GET stream. With a fleet
+    /// cell attached, one view builds each tenant's MRC once for both the
+    /// cell and the registry's tenant rows.
     fn refresh_expo(&self) {
-        self.publish_profile_rows();
+        let view = self
+            .fleet_cell
+            .as_ref()
+            .and(self.fleet.as_ref())
+            .map(FleetArena::view);
+        self.publish_profile_rows(view.as_ref().map(|v| v.rows.clone()));
         if let (Some(p), Some(cell)) = (&self.profiler, &self.mrc_cell) {
             cell.publish(p.mrc());
         }
-        if let (Some(f), Some(cell)) = (&self.fleet, &self.fleet_cell) {
-            cell.publish(f.view());
+        if let (Some(view), Some(cell)) = (view, &self.fleet_cell) {
+            cell.publish(view);
         }
     }
 
@@ -958,6 +968,22 @@ mod tests {
         let snap = r.metrics().snapshot();
         assert_eq!(snap.tenant_rows.len(), 4);
         assert!(snap.render_info().contains("tenant_count:4"));
+    }
+
+    #[test]
+    fn expo_refresh_publishes_the_cell_view_rows_as_tenant_rows() {
+        let mut r = MiniRedis::new(1_000_000, 5, 17);
+        r.enable_fleet_profiling(FleetConfig::new(KrrConfig::new(5.0).seed(6)));
+        let cell = Arc::new(FleetCell::new());
+        r.set_fleet_cell(Arc::clone(&cell));
+        for i in 0..EXPO_REFRESH_EVERY {
+            r.get_for(Some(i % 4), i % 500);
+        }
+        r.apply_profile_queue();
+        let view = cell.get().expect("the refresh published a fleet view");
+        assert_eq!(view.rows.len(), 4);
+        assert_eq!(r.metrics().snapshot().tenant_rows, view.rows);
+        assert_eq!(r.fleet().map(FleetArena::summary), Some(view.rows));
     }
 
     #[test]

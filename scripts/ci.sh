@@ -117,6 +117,18 @@ grep -q "^cache_size,simulated,krr,abs_err$" "$smoke/compare.out"
 krr analyze "$smoke/trace.csv" > "$smoke/analyze.out"
 grep -q "^requests: *50000$" "$smoke/analyze.out"
 krr plot "$smoke/mrc.csv" "$smoke/sampled-1.csv" > "$smoke/plot.out"
+# Fleet mode runs the same loop: its per-tenant curves feed `krr partition`
+# and --trace-out works there too. A flag the chosen mode cannot honour,
+# or one the subcommand does not read, must fail the run.
+krr model --tenants 8 --mrc-out "$smoke/mrcs" --trace-out "$smoke/fleet-trace.json" \
+    "$smoke/trace.csv" > "$smoke/fleet.csv"
+grep -q '"name":"router"' "$smoke/fleet-trace.json"
+krr partition --budget 2000 "$smoke"/mrcs/tenant-*.csv > "$smoke/partition.out"
+grep -q "tenant *greedy *optimal$" "$smoke/partition.out"
+krr model --tenants 4 --checkpoint-out "$smoke/x" "$smoke/trace.csv" 2> /dev/null &&
+    { echo "ci: krr model --tenants accepted --checkpoint-out" >&2; exit 1; }
+krr model --thread 2 "$smoke/trace.csv" 2> /dev/null &&
+    { echo "ci: krr model accepted the unknown flag --thread" >&2; exit 1; }
 rm -rf "$smoke"
 
 # Optional perf tracking: KRR_CI_BENCH=1 refreshes BENCH_pipeline.json
