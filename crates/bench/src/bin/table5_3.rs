@@ -15,7 +15,7 @@
 
 use krr_bench::{report, scale, timed};
 use krr_core::{KrrConfig, KrrModel, UpdaterKind};
-use krr_sim::{even_capacities, miss_ratio, Capacity, Policy};
+use krr_sim::{even_capacities, simulate_mrc, Policy, Unit};
 use krr_trace::msr;
 
 fn model_time(
@@ -45,17 +45,17 @@ fn main() {
     println!("table5_3: {n} msr_src1 requests, {objects} distinct objects, K=5");
 
     // Simulation row: 25 evenly spaced sizes, run sequentially (the paper's
-    // simulator is single-threaded).
+    // simulator is single-threaded), then interpolated.
     let caps = even_capacities(objects, 25);
     let (_, sim_time) = timed(|| {
-        for (i, &c) in caps.iter().enumerate() {
-            std::hint::black_box(miss_ratio(
-                &trace,
-                Policy::klru(5),
-                Capacity::Objects(c),
-                i as u64,
-            ));
-        }
+        std::hint::black_box(simulate_mrc(
+            &trace,
+            Policy::klru(5),
+            Unit::Objects,
+            &caps,
+            0,
+            1,
+        ))
     });
 
     let basic = model_time(&trace, UpdaterKind::Naive, 1.0);

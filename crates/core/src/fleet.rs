@@ -34,8 +34,10 @@
 //!   [`Footprint`] accounting into the `memory.tenant.*` gauges. A row's
 //!   `drift_events`, `mae_ppm` and `shadowed` columns read 0/`false`:
 //!   nothing produces them.
-//!   [`FleetArena::view`] publishes per-tenant MRCs to a [`FleetCell`] for
-//!   the expo server's `/tenants` and `/mrc?tenant=ID` endpoints.
+//!   [`FleetArena::view`] builds per-tenant MRCs for a [`FleetCell`], the
+//!   expo server's `/tenants` and `/mrc?tenant=ID` source; with a cell
+//!   attached ([`FleetArena::set_cell`]), `publish_metrics` builds one view
+//!   per call and publishes its rows and its MRCs from that one build.
 //!
 //! ```
 //! use krr_core::fleet::{FleetArena, FleetConfig};
@@ -123,6 +125,7 @@ pub struct FleetArena {
     config: FleetConfig,
     metrics: Option<Arc<MetricsRegistry>>,
     recorder: Option<Arc<FlightRecorder>>,
+    cell: Option<Arc<FleetCell>>,
 }
 
 impl FleetArena {
@@ -136,6 +139,7 @@ impl FleetArena {
             config,
             metrics: None,
             recorder: None,
+            cell: None,
         }
     }
 
@@ -185,6 +189,13 @@ impl FleetArena {
     /// thousand rings would observe nothing useful.
     pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
         self.recorder = Some(recorder);
+    }
+
+    /// Attaches the exposition cell: the current view is published into it
+    /// now, and [`FleetArena::publish_metrics`] refreshes it.
+    pub fn set_cell(&mut self, cell: Arc<FleetCell>) {
+        cell.publish(self.view());
+        self.cell = Some(cell);
     }
 
     /// Returns `tenant`'s slot, registering a fresh model (seeded by
@@ -352,12 +363,20 @@ impl FleetArena {
     }
 
     /// Pushes the per-tenant rows and the fleet footprint rollup into the
-    /// attached registry (no-op when detached). Called automatically after
-    /// a pipeline run; sequential loops call it at their own cadence.
+    /// attached registry, and a fresh view into the attached cell (each a
+    /// no-op when detached). With both attached, each tenant's MRC is built
+    /// once for the rows and the view. Called automatically after a
+    /// pipeline run; sequential loops call it at their own cadence.
     pub fn publish_metrics(&self) {
-        let Some(reg) = &self.metrics else { return };
-        reg.tenant_rows.set(self.summary());
-        reg.publish_footprint(&self.footprint());
+        let view = self.cell.as_ref().map(|_| self.view());
+        if let Some(reg) = &self.metrics {
+            let rows = view.as_ref().map(|v| v.rows.clone());
+            reg.tenant_rows.set(rows.unwrap_or_else(|| self.summary()));
+            reg.publish_footprint(&self.footprint());
+        }
+        if let (Some(cell), Some(view)) = (&self.cell, view) {
+            cell.publish(view);
+        }
     }
 }
 
@@ -553,6 +572,24 @@ mod tests {
         assert_eq!(
             view.mrc_for(3).unwrap().points(),
             fleet.tenant_mrc(3).unwrap().points()
+        );
+    }
+
+    #[test]
+    fn pipeline_runs_refresh_an_attached_cell_with_the_registry_rows() {
+        let reg = Arc::new(MetricsRegistry::new());
+        let mut fleet = FleetArena::new(FleetConfig::new(KrrConfig::new(5.0).seed(3)));
+        fleet.set_metrics(Arc::clone(&reg));
+        let cell = Arc::new(FleetCell::new());
+        fleet.set_cell(Arc::clone(&cell));
+        assert!(cell.get().unwrap().rows.is_empty(), "attaching publishes");
+        fleet.process_parallel(&fleet_trace(6, 200, 4_000, 5), 2);
+        let view = cell.get().unwrap();
+        assert_eq!(view.rows, reg.snapshot().tenant_rows);
+        assert_eq!(view.rows, fleet.summary());
+        assert_eq!(
+            view.mrc_for(2).unwrap().points(),
+            fleet.tenant_mrc(2).unwrap().points()
         );
     }
 

@@ -136,6 +136,7 @@ WORKLOAD SPECS:
 
 /// Minimal flag parser: `--name value` pairs plus positional arguments.
 struct Flags {
+    cmd: String,
     pairs: Vec<(String, String)>,
     positional: Vec<String>,
 }
@@ -164,7 +165,23 @@ impl Flags {
                 positional.push(a.clone());
             }
         }
-        Ok(Self { pairs, positional })
+        Ok(Self {
+            cmd: cmd.to_string(),
+            pairs,
+            positional,
+        })
+    }
+
+    /// The positional arguments, when there are at most `max`; otherwise
+    /// an error naming the first one the subcommand would not read.
+    fn positional(&self, max: usize) -> Result<&[String], String> {
+        match self.positional.get(max) {
+            Some(extra) => Err(format!(
+                "krr {} does not read the extra argument {extra:?}",
+                self.cmd
+            )),
+            None => Ok(&self.positional),
+        }
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -280,13 +297,12 @@ fn build_workload(
 /// a generated workload would do nothing, so they are errors, as is a
 /// second file.
 fn trace_file(f: &Flags) -> Result<Option<&str>, String> {
-    match f.positional.as_slice() {
+    match f.positional(1)? {
         [] => Ok(None),
-        [path] => match f.any_of(WORKLOAD_ONLY) {
+        [path, ..] => match f.any_of(WORKLOAD_ONLY) {
             Some(name) => Err(format!("--{name} cannot be combined with a trace file")),
             None => Ok(Some(path)),
         },
-        files => Err(format!("expected one trace file, got {}", files.len())),
     }
 }
 
@@ -310,6 +326,7 @@ fn load_trace(f: &Flags) -> Result<Trace, String> {
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let f = Flags::parse("generate", args, &[TRACE_OPTS, "out"], "var-size")?;
+    f.positional(0)?;
     let spec = f.get("workload").ok_or("--workload <spec> is required")?;
     let trace = build_workload(
         spec,
@@ -507,7 +524,11 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
             if let Some(rec) = &recorder {
                 arena.set_recorder(Arc::clone(rec));
             }
-            Profile::Fleet(arena, n, serve_addr.map(|_| Arc::new(FleetCell::new())))
+            let cell = serve_addr.map(|_| Arc::new(FleetCell::new()));
+            if let Some(cell) = &cell {
+                arena.set_cell(Arc::clone(cell));
+            }
+            Profile::Fleet(arena, n, cell)
         }
         None => {
             let mut bank = match &ckpt {
@@ -682,12 +703,11 @@ impl Profile {
         }
     }
 
-    /// Refreshes the live `/mrc` or `/tenants` view, when serving.
+    /// Refreshes the live `/mrc` view, when serving. A fleet arena
+    /// refreshes its `/tenants` cell itself after each pipeline run.
     fn publish(&self) {
-        match self {
-            Profile::Bank(bank, Some(cell)) => cell.publish(bank.mrc()),
-            Profile::Fleet(arena, _, Some(cell)) => cell.publish(arena.view()),
-            _ => {}
+        if let Profile::Bank(bank, Some(cell)) = self {
+            cell.publish(bank.mrc());
         }
     }
 
@@ -1055,8 +1075,8 @@ fn cmd_load(args: &[String]) -> Result<(), String> {
     let arrival = Arrival::parse(f.get("arrival").unwrap_or("poisson"))?;
     let seed: u64 = f.num("seed", 42)?;
     let load_cfg = LoadConfig {
-        connections: f.num("connections", 4usize)?.max(1),
-        pipeline_depth: f.num("pipeline", 32usize)?.max(1),
+        connections: f.count("connections")?.map_or(4, |n| n as usize),
+        pipeline_depth: f.count("pipeline")?.map_or(32, |n| n as usize),
         tenants: f.num("tenants", 0usize)?,
     };
     let schedule = Schedule::generate(arrival, qps, trace.len(), seed);
@@ -1135,6 +1155,9 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
         &["live metrics-in exemplars json"],
         "offline",
     )?;
+    // Only an --offline sweep reads a positional: its directory.
+    let offline = f.get("live").is_none() && f.flag("offline");
+    let dir = f.positional(usize::from(offline))?.first();
 
     let read_json = |path: &str| -> Result<json::Json, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1157,7 +1180,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     } else if f.flag("offline") {
         // Offline mode: sweep the artifact directory and hold every
         // committed krr-*-v1 document to its grow-only schema.
-        let dir = f.positional.first().map_or(".", String::as_str);
+        let dir = dir.map_or(".", String::as_str);
         let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
             .map_err(|e| format!("{dir}: {e}"))?
             .filter_map(|e| e.ok().map(|e| e.path()))

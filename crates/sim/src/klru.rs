@@ -3,21 +3,27 @@
 //!
 //! On eviction the cache samples `K` resident objects uniformly — with
 //! replacement by default, matching Redis (§3) — and evicts the least
-//! recently used of the sample. Objects live in a slot vector with a hash
-//! index, so uniform sampling is a single `below(len)` draw and removal is a
-//! `swap_remove`, both O(1).
+//! recently used of the sample. Objects live in a slot vector, so uniform
+//! sampling is a single `below(len)` draw and removal is a `swap_remove`,
+//! both O(1).
+//!
+//! Residents are found by interned object id (see [`crate::mrc_sim`]): a
+//! `Vec<u32>` indexed by id holds each object's slot, so a hit is one array
+//! load and an eviction two array stores. [`Cache::access`] interns the key
+//! through the cache's own key → id map, one hash probe per request; that
+//! map and the slot index hold one entry per distinct key ever seen, not
+//! per resident.
 
 use std::sync::Arc;
 
-use crate::{Cache, CacheStats, Capacity};
-use krr_core::hashing::KeyMap;
+use crate::{Cache, CacheStats, Capacity, IdCache, Interner, NIL};
 use krr_core::metrics::MetricsRegistry;
 use krr_core::rng::Xoshiro256;
 use krr_trace::Request;
 
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    key: u64,
+    id: u32,
     size: u32,
     last_access: u64,
 }
@@ -28,7 +34,9 @@ pub struct KLruCache {
     capacity: Capacity,
     k: u32,
     with_replacement: bool,
-    map: KeyMap<u32>,
+    ids: Interner,
+    /// Slot of each interned id, [`NIL`] when not resident.
+    slot_of: Vec<u32>,
     slots: Vec<Slot>,
     clock: u64,
     used_bytes: u64,
@@ -54,7 +62,8 @@ impl KLruCache {
             capacity,
             k,
             with_replacement,
-            map: KeyMap::default(),
+            ids: Interner::default(),
+            slot_of: Vec::new(),
             slots: Vec::new(),
             clock: 0,
             used_bytes: 0,
@@ -108,7 +117,7 @@ impl KLruCache {
     pub fn recency_order(&self) -> Vec<u64> {
         let mut v: Vec<&Slot> = self.slots.iter().collect();
         v.sort_by_key(|s| std::cmp::Reverse(s.last_access));
-        v.into_iter().map(|s| s.key).collect()
+        v.into_iter().map(|s| self.ids.key(s.id)).collect()
     }
 
     fn used(&self) -> u64 {
@@ -123,13 +132,13 @@ impl KLruCache {
         let n = self.slots.len();
         debug_assert!(n > 0);
         let mut victim = self.rng.below_usize(n);
-        self.record_candidate_age(victim);
+        let mut oldest = self.sample(victim);
         if self.with_replacement {
             for _ in 1..self.k {
                 let cand = self.rng.below_usize(n);
-                self.record_candidate_age(cand);
-                if self.slots[cand].last_access < self.slots[victim].last_access {
-                    victim = cand;
+                let last = self.sample(cand);
+                if last < oldest {
+                    (victim, oldest) = (cand, last);
                 }
             }
         } else {
@@ -142,9 +151,9 @@ impl KLruCache {
                 let cand = self.rng.below_usize(n);
                 if !picked.contains(&cand) {
                     picked.push(cand);
-                    self.record_candidate_age(cand);
-                    if self.slots[cand].last_access < self.slots[victim].last_access {
-                        victim = cand;
+                    let last = self.sample(cand);
+                    if last < oldest {
+                        (victim, oldest) = (cand, last);
                     }
                 }
             }
@@ -155,29 +164,47 @@ impl KLruCache {
         self.remove_slot(victim);
     }
 
-    fn record_candidate_age(&self, slot: usize) {
+    /// A sampled candidate's last access; records its age when metrics are
+    /// attached.
+    fn sample(&self, slot: usize) -> u64 {
+        let last = self.slots[slot].last_access;
         if let Some(m) = &self.metrics {
-            m.candidate_age
-                .record(self.clock - self.slots[slot].last_access);
+            m.candidate_age.record(self.clock - last);
         }
+        last
     }
 
     fn remove_slot(&mut self, i: usize) {
         let removed = self.slots.swap_remove(i);
-        self.map.remove(&removed.key);
+        self.slot_of[removed.id as usize] = NIL;
         self.used_bytes -= u64::from(removed.size);
-        if i < self.slots.len() {
+        if let Some(moved) = self.slots.get(i) {
             // Fix the index of the slot that got moved into position i.
-            self.map.insert(self.slots[i].key, i as u32);
+            self.slot_of[moved.id as usize] = i as u32;
         }
     }
 }
 
 impl Cache for KLruCache {
     fn access(&mut self, req: &Request) -> bool {
+        let id = self.ids.intern(req.key);
+        self.access_id(id, req.size)
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+}
+
+impl IdCache for KLruCache {
+    fn access_id(&mut self, id: u32, size: u32) -> bool {
         self.clock += 1;
-        let size = req.size.max(1);
-        if let Some(&i) = self.map.get(&req.key) {
+        let size = size.max(1);
+        if id as usize >= self.slot_of.len() {
+            self.slot_of.resize(id as usize + 1, NIL);
+        }
+        let i = self.slot_of[id as usize];
+        if i != NIL {
             self.stats.hits += 1;
             let slot = &mut self.slots[i as usize];
             slot.last_access = self.clock;
@@ -190,8 +217,7 @@ impl Cache for KLruCache {
             if self.used() > self.capacity.limit() {
                 // The resized object alone no longer fits; drop it (the
                 // access itself was still a hit).
-                let i = self.map[&req.key] as usize;
-                self.remove_slot(i);
+                self.remove_slot(self.slot_of[id as usize] as usize);
             }
             return true;
         }
@@ -206,19 +232,14 @@ impl Cache for KLruCache {
         while self.used() + need > self.capacity.limit() {
             self.evict_one();
         }
-        let i = self.slots.len() as u32;
+        self.slot_of[id as usize] = self.slots.len() as u32;
         self.slots.push(Slot {
-            key: req.key,
+            id,
             size,
             last_access: self.clock,
         });
-        self.map.insert(req.key, i);
         self.used_bytes += u64::from(size);
         false
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -381,9 +402,10 @@ mod tests {
         for _ in 0..50_000 {
             c.access(&get(rng.below(500)));
         }
-        assert_eq!(c.map.len(), c.slots.len());
+        let resident = c.slot_of.iter().filter(|&&i| i != NIL).count();
+        assert_eq!(resident, c.slots.len());
         for (i, s) in c.slots.iter().enumerate() {
-            assert_eq!(c.map.get(&s.key), Some(&(i as u32)));
+            assert_eq!(c.slot_of[s.id as usize], i as u32);
         }
     }
 }

@@ -35,6 +35,7 @@ pub use lru::ExactLru;
 pub use minisim::MiniSim;
 pub use mrc_sim::{even_capacities, miss_ratio, simulate_mrc, working_set, Policy, Unit};
 
+use krr_core::hashing::KeyMap;
 use krr_trace::Request;
 
 /// Cache capacity in objects or bytes.
@@ -85,6 +86,44 @@ pub trait Cache {
 
     /// Hit/miss counters so far.
     fn stats(&self) -> CacheStats;
+}
+
+/// No slot or node: the index of an id that is not resident, and the end
+/// of a linked list.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// A cache whose residents are found by interned id: dense `u32`s from an
+/// [`Interner`], so a lookup indexes an array instead of probing a hash
+/// table. [`Cache::access`] interns the key first; the multi-size sweep
+/// interns the whole trace once and feeds ids directly.
+pub(crate) trait IdCache: Cache {
+    /// Processes one request for object `id`; returns true on a hit.
+    fn access_id(&mut self, id: u32, size: u32) -> bool;
+}
+
+/// Key → dense id map, ids `0..len` in first-reference order. It holds
+/// one entry per distinct key ever seen, not per resident.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    ids: KeyMap<u32>,
+    keys: Vec<u64>,
+}
+
+impl Interner {
+    /// The id of `key`, assigning the next one on first sight.
+    pub(crate) fn intern(&mut self, key: u64) -> u32 {
+        let next = self.keys.len() as u32;
+        let id = *self.ids.entry(key).or_insert(next);
+        if id == next {
+            self.keys.push(key);
+        }
+        id
+    }
+
+    /// The key interned as `id`.
+    pub(crate) fn key(&self, id: u32) -> u64 {
+        self.keys[id as usize]
+    }
 }
 
 #[cfg(test)]

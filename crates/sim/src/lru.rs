@@ -1,19 +1,21 @@
 //! Exact LRU cache (§5.1's ground truth for the LRU curves).
 //!
-//! A slab-allocated intrusive doubly-linked list plus a hash index gives
-//! O(1) access, promotion and eviction with no per-node allocation. Capacity
-//! can be counted in objects (hardware-cache convention) or bytes (software
-//! KV-cache convention, needed for the variable-size experiments).
+//! A slab-allocated intrusive doubly-linked list gives O(1) access,
+//! promotion and eviction with no per-node allocation. Residents are found
+//! by interned object id (see [`crate::mrc_sim`]): a `Vec<u32>` indexed by
+//! id holds each object's node, so a hit is one array load. [`Cache::access`]
+//! interns the key through the cache's own key → id map, one hash probe per
+//! request; that map and the node index hold one entry per distinct key
+//! ever seen, not per resident. Capacity can be counted in objects
+//! (hardware-cache convention) or bytes (software KV-cache convention,
+//! needed for the variable-size experiments).
 
-use crate::{Cache, CacheStats, Capacity};
-use krr_core::hashing::KeyMap;
+use crate::{Cache, CacheStats, Capacity, IdCache, Interner, NIL};
 use krr_trace::Request;
-
-const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    key: u64,
+    id: u32,
     size: u32,
     prev: u32,
     next: u32,
@@ -23,7 +25,9 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct ExactLru {
     capacity: Capacity,
-    map: KeyMap<u32>,
+    ids: Interner,
+    /// Node of each interned id, [`NIL`] when not resident.
+    node_of: Vec<u32>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     head: u32,
@@ -39,7 +43,8 @@ impl ExactLru {
         assert!(capacity.limit() > 0, "capacity must be positive");
         Self {
             capacity,
-            map: KeyMap::default(),
+            ids: Interner::default(),
+            node_of: Vec::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -52,13 +57,13 @@ impl ExactLru {
     /// Number of resident objects.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// True if nothing is cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.head == NIL
     }
 
     /// Bytes currently resident.
@@ -70,10 +75,10 @@ impl ExactLru {
     /// Keys from most- to least-recently used (diagnostic/test use).
     #[must_use]
     pub fn recency_order(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.len());
         let mut i = self.head;
         while i != NIL {
-            out.push(self.nodes[i as usize].key);
+            out.push(self.ids.key(self.nodes[i as usize].id));
             i = self.nodes[i as usize].next;
         }
         out
@@ -81,7 +86,7 @@ impl ExactLru {
 
     fn used(&self) -> u64 {
         match self.capacity {
-            Capacity::Objects(_) => self.map.len() as u64,
+            Capacity::Objects(_) => self.len() as u64,
             Capacity::Bytes(_) => self.used_bytes,
         }
     }
@@ -117,14 +122,14 @@ impl ExactLru {
         let victim = self.tail;
         self.unlink(victim);
         let node = self.nodes[victim as usize];
-        self.map.remove(&node.key);
+        self.node_of[node.id as usize] = NIL;
         self.used_bytes -= u64::from(node.size);
         self.free.push(victim);
     }
 
-    fn insert(&mut self, key: u64, size: u32) {
+    fn insert(&mut self, id: u32, size: u32) {
         let node = Node {
-            key,
+            id,
             size,
             prev: NIL,
             next: NIL,
@@ -139,7 +144,7 @@ impl ExactLru {
                 (self.nodes.len() - 1) as u32
             }
         };
-        self.map.insert(key, i);
+        self.node_of[id as usize] = i;
         self.used_bytes += u64::from(size);
         self.push_front(i);
     }
@@ -147,8 +152,23 @@ impl ExactLru {
 
 impl Cache for ExactLru {
     fn access(&mut self, req: &Request) -> bool {
-        let size = req.size.max(1);
-        if let Some(&i) = self.map.get(&req.key) {
+        let id = self.ids.intern(req.key);
+        self.access_id(id, req.size)
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.stats
+    }
+}
+
+impl IdCache for ExactLru {
+    fn access_id(&mut self, id: u32, size: u32) -> bool {
+        let size = size.max(1);
+        if id as usize >= self.node_of.len() {
+            self.node_of.resize(id as usize + 1, NIL);
+        }
+        let i = self.node_of[id as usize];
+        if i != NIL {
             self.stats.hits += 1;
             // Promote and refresh size.
             self.unlink(i);
@@ -157,7 +177,7 @@ impl Cache for ExactLru {
             self.used_bytes = self.used_bytes - u64::from(old) + u64::from(size);
             self.push_front(i);
             // A growing object can push the cache over its byte budget.
-            while self.used() > self.capacity.limit() && self.map.len() > 1 {
+            while self.used() > self.capacity.limit() && self.len() > 1 {
                 self.evict_tail();
             }
             if self.used() > self.capacity.limit() {
@@ -180,12 +200,8 @@ impl Cache for ExactLru {
         while self.used() + need > self.capacity.limit() {
             self.evict_tail();
         }
-        self.insert(req.key, size);
+        self.insert(id, size);
         false
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 

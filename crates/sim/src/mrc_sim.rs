@@ -7,10 +7,18 @@
 //! scoped threads with a shared atomic work index (no locks, no shared
 //! mutable state; per-size RNG seeds keep runs deterministic regardless of
 //! scheduling).
+//!
+//! The trace is interned once before the sweep: one hash-map pass maps each
+//! key to a dense id `0..M` in first-reference order, giving a read-only
+//! `Vec<(id, size)>` that every size and thread shares. Each pass then
+//! finds residents by indexing an array with the id instead of hashing the
+//! key. The id map holds one entry per distinct key in the trace (not per
+//! resident) and is dropped before the passes start; each pass adds one
+//! `u32` slot index per distinct key.
 
 use crate::klru::KLruCache;
 use crate::lru::ExactLru;
-use crate::{Cache, Capacity};
+use crate::{Capacity, IdCache, Interner};
 use krr_core::mrc::Mrc;
 use krr_trace::Request;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,13 +47,24 @@ impl Policy {
         }
     }
 
-    fn build(&self, capacity: Capacity, seed: u64) -> Box<dyn Cache> {
+    /// Simulates one cache size over an interned trace; returns the miss
+    /// ratio.
+    fn miss_ratio(&self, refs: &[(u32, u32)], capacity: Capacity, seed: u64) -> f64 {
+        fn run(mut cache: impl IdCache, refs: &[(u32, u32)]) -> f64 {
+            for &(id, size) in refs {
+                cache.access_id(id, size);
+            }
+            cache.stats().miss_ratio()
+        }
         match *self {
-            Policy::ExactLru => Box::new(ExactLru::new(capacity)),
+            Policy::ExactLru => run(ExactLru::new(capacity), refs),
             Policy::KLru {
                 k,
                 with_replacement,
-            } => Box::new(KLruCache::with_mode(capacity, k, with_replacement, seed)),
+            } => run(
+                KLruCache::with_mode(capacity, k, with_replacement, seed),
+                refs,
+            ),
         }
     }
 }
@@ -68,14 +87,16 @@ impl Unit {
     }
 }
 
+/// The trace as `(id, size)` pairs, ids dense in first-reference order.
+fn intern(trace: &[Request]) -> Vec<(u32, u32)> {
+    let mut ids = Interner::default();
+    trace.iter().map(|r| (ids.intern(r.key), r.size)).collect()
+}
+
 /// Simulates one cache size over the whole trace; returns the miss ratio.
 #[must_use]
 pub fn miss_ratio(trace: &[Request], policy: Policy, capacity: Capacity, seed: u64) -> f64 {
-    let mut cache = policy.build(capacity, seed);
-    for r in trace {
-        cache.access(r);
-    }
-    cache.stats().miss_ratio()
+    policy.miss_ratio(&intern(trace), capacity, seed)
 }
 
 /// Simulates every capacity in `capacities` (in parallel when
@@ -91,6 +112,7 @@ pub fn simulate_mrc(
     threads: usize,
 ) -> Mrc {
     assert!(!capacities.is_empty(), "need at least one cache size");
+    let refs = intern(trace);
     let threads = threads.max(1).min(capacities.len());
     let next = AtomicUsize::new(0);
     let partials: Vec<Vec<(f64, f64)>> = std::thread::scope(|scope| {
@@ -107,7 +129,7 @@ pub fn simulate_mrc(
                         // Seed varies per capacity so probabilistic policies
                         // don't reuse one random stream at every size.
                         let m =
-                            miss_ratio(trace, policy, unit.capacity(c), seed ^ ((i as u64) << 32));
+                            policy.miss_ratio(&refs, unit.capacity(c), seed ^ ((i as u64) << 32));
                         local.push((c as f64, m));
                     }
                     local

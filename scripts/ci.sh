@@ -112,6 +112,10 @@ krr stats "$smoke/trace.csv" > "$smoke/stats.out"
 grep -q "^requests: *50000$" "$smoke/stats.out"
 krr simulate --policy klru:5 "$smoke/trace.csv" > "$smoke/simulate.out"
 grep -q "^cache_size,miss_ratio$" "$smoke/simulate.out"
+krr simulate --policy lru "$smoke/trace.csv" > "$smoke/simulate-lru.out"
+grep -q "^cache_size,miss_ratio$" "$smoke/simulate-lru.out"
+krr simulate --policy klru:5 --bytes "$smoke/trace.csv" > "$smoke/simulate-bytes.out"
+grep -q "^cache_size,miss_ratio$" "$smoke/simulate-bytes.out"
 krr compare "$smoke/trace.csv" > "$smoke/compare.out"
 grep -q "^cache_size,simulated,krr,abs_err$" "$smoke/compare.out"
 krr analyze "$smoke/trace.csv" > "$smoke/analyze.out"

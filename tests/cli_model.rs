@@ -2,7 +2,8 @@
 //! the same file under checkpointing, and the generated workload the file
 //! was written from must print byte-identical MRCs. Fleet mode
 //! (`--tenants`) shares the loop, and every flag a run cannot honour, or
-//! a subcommand does not read, fails the run with a message naming it.
+//! a subcommand does not read, fails the run with a message naming it,
+//! as does a positional argument the subcommand does not read, or a zero count.
 
 use std::process::Command;
 
@@ -121,6 +122,27 @@ fn unknown_flags_are_errors_naming_flag_and_subcommand() {
         err.contains("--budjet") && err.contains("partition"),
         "{err:?}"
     );
+}
+
+#[test]
+fn unread_arguments_and_zero_counts_are_errors() {
+    let dir = Scratch::new("cli-unread-args");
+    let (trace, out) = (dir.path("t.csv"), dir.path("out.csv"));
+    let workload = ["--workload", "zipf:0.9:100", "--requests", "3"];
+    let err = krr_fails(&[&["generate"], &workload[..], &[&out]].concat());
+    assert!(
+        err.contains("out.csv") && err.contains("generate"),
+        "{err:?}"
+    );
+    assert!(!std::path::Path::new(&out).exists(), "generate wrote {out}");
+    let err = krr_fails(&["doctor", "--live", "127.0.0.1:1", "DIR"]);
+    assert!(err.contains("\"DIR\"") && err.contains("doctor"), "{err:?}");
+    let err = krr_fails(&["stats", &trace, &out]);
+    assert!(err.contains("out.csv") && err.contains("stats"), "{err:?}");
+    for flag in ["--connections", "--pipeline"] {
+        let err = krr_fails(&["load", flag, "0", &trace]);
+        assert!(err.contains(flag), "{flag}: stderr {err:?}");
+    }
 }
 
 #[test]
