@@ -6,16 +6,12 @@
 //!   whose key passes `hash(L) mod P < T`, with distances expanded by `1/R`.
 //!   Optionally applies the SHARDS-adj correction, which compensates for
 //!   the difference between expected and actual sampled reference counts.
-//! * [`ShardsMax`] — fixed-size SHARDS (`SHARDS_max`): bounds tracked
-//!   objects at `s_max` by lowering the threshold adaptively, rescaling the
-//!   histogram counts by `T_new/T_old` at each lowering, as in the original
-//!   paper.
 
 use crate::ostree::OsTreap;
-use krr_core::hashing::{hash_key, KeyMap};
+use krr_core::hashing::KeyMap;
 use krr_core::histogram::SdHistogram;
 use krr_core::mrc::Mrc;
-use krr_core::sampling::{SpatialFilter, DEFAULT_MODULUS};
+use krr_core::sampling::SpatialFilter;
 
 /// Fixed-rate SHARDS.
 #[derive(Debug, Clone)]
@@ -107,153 +103,6 @@ impl Shards {
     }
 }
 
-/// Fixed-size SHARDS (`SHARDS_max`): adapts the sampling threshold to track
-/// at most `s_max` distinct objects.
-#[derive(Debug)]
-pub struct ShardsMax {
-    modulus: u64,
-    threshold: u64,
-    s_max: usize,
-    tree: OsTreap,
-    /// key -> (last time, hash residue)
-    last: KeyMap<(u64, u64)>,
-    /// time -> key (to evict tracked objects when the threshold drops)
-    by_time: std::collections::BTreeMap<u64, u64>,
-    /// Weighted histogram over *unsampled* distances.
-    bins: Vec<f64>,
-    cold: f64,
-    total: f64,
-    clock: u64,
-}
-
-impl ShardsMax {
-    /// Creates a fixed-size profiler tracking at most `s_max` objects.
-    #[must_use]
-    pub fn new(s_max: usize) -> Self {
-        assert!(s_max >= 1);
-        Self {
-            modulus: DEFAULT_MODULUS,
-            threshold: DEFAULT_MODULUS,
-            s_max,
-            tree: OsTreap::new(),
-            last: KeyMap::default(),
-            by_time: std::collections::BTreeMap::new(),
-            bins: Vec::new(),
-            cold: 0.0,
-            total: 0.0,
-            clock: 0,
-        }
-    }
-
-    fn rate(&self) -> f64 {
-        self.threshold as f64 / self.modulus as f64
-    }
-
-    fn record(&mut self, unscaled: u64) {
-        // Distance expanded to full-trace scale at the *current* rate.
-        let d = (unscaled as f64 / self.rate()).ceil() as u64;
-        let bin = (d.max(1) - 1) as usize;
-        // Cap the bin vector growth with a coarse upper-region bin merge:
-        // distances are already approximate at low rates.
-        let bin = bin.min(1 << 26);
-        if bin >= self.bins.len() {
-            self.bins.resize(bin + 1, 0.0);
-        }
-        self.bins[bin] += 1.0;
-        self.total += 1.0;
-    }
-
-    /// Offers one reference.
-    pub fn access_key(&mut self, key: u64) {
-        let residue = hash_key(key) % self.modulus;
-        if residue >= self.threshold {
-            return;
-        }
-        self.clock += 1;
-        let now = self.clock;
-        match self.last.insert(key, (now, residue)) {
-            Some((prev, _)) => {
-                let d = self.tree.count_greater(prev) + 1;
-                self.tree.remove(prev);
-                self.tree.insert(now);
-                self.by_time.remove(&prev);
-                self.by_time.insert(now, key);
-                self.record(d);
-            }
-            None => {
-                self.tree.insert(now);
-                self.by_time.insert(now, key);
-                self.cold += 1.0;
-                self.total += 1.0;
-                if self.last.len() > self.s_max {
-                    self.shrink();
-                }
-            }
-        }
-    }
-
-    /// Lowers the threshold to the largest tracked residue, evicting every
-    /// object at or above it and rescaling the histogram.
-    fn shrink(&mut self) {
-        let t_old = self.threshold;
-        let max_residue = self
-            .last
-            .values()
-            .map(|&(_, r)| r)
-            .max()
-            .expect("shrink on empty tracker");
-        let t_new = max_residue;
-        debug_assert!(t_new < t_old);
-        self.threshold = t_new;
-        let doomed: Vec<u64> = self
-            .last
-            .iter()
-            .filter(|(_, &(_, r))| r >= t_new)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in doomed {
-            let (time, _) = self.last.remove(&key).expect("doomed key present");
-            self.tree.remove(time);
-            self.by_time.remove(&time);
-        }
-        // Rescale accumulated counts as in the SHARDS paper: earlier samples
-        // were collected at a higher rate, so their weight shrinks.
-        let factor = t_new as f64 / t_old as f64;
-        for b in &mut self.bins {
-            *b *= factor;
-        }
-        self.cold *= factor;
-        self.total = self.bins.iter().sum::<f64>() + self.cold;
-    }
-
-    /// Tracked object count and current effective rate.
-    #[must_use]
-    pub fn tracker_state(&self) -> (usize, f64) {
-        (self.last.len(), self.rate())
-    }
-
-    /// The approximated exact-LRU MRC.
-    #[must_use]
-    pub fn mrc(&self) -> Mrc {
-        if self.total <= 0.0 {
-            return Mrc::from_points(vec![(0.0, 1.0)]);
-        }
-        let mut points = Vec::with_capacity(self.bins.len() + 1);
-        points.push((0.0, 1.0));
-        let mut hits = 0.0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            hits += c;
-            points.push(((i + 1) as f64, (self.total - hits) / self.total));
-        }
-        let mut mrc = Mrc::from_points(points);
-        mrc.make_monotone();
-        mrc
-    }
-}
-
 impl krr_core::footprint::Footprint for Shards {
     fn footprint(&self) -> krr_core::footprint::FootprintReport {
         let mut r = self.tree.footprint();
@@ -262,28 +111,6 @@ impl krr_core::footprint::Footprint for Shards {
             krr_core::footprint::map_bytes(self.last.capacity(), std::mem::size_of::<(u64, u64)>()),
         );
         r.merge(&self.hist.footprint());
-        r
-    }
-}
-
-impl krr_core::footprint::Footprint for ShardsMax {
-    fn footprint(&self) -> krr_core::footprint::FootprintReport {
-        let mut r = self.tree.footprint();
-        r.add(
-            "shards_index",
-            krr_core::footprint::map_bytes(
-                self.last.capacity(),
-                std::mem::size_of::<(u64, (u64, u64))>(),
-            ),
-        )
-        .add(
-            "shards_time_index",
-            krr_core::footprint::btree_bytes(self.by_time.len(), std::mem::size_of::<(u64, u64)>()),
-        )
-        .add(
-            "shards_bins",
-            self.bins.capacity() * std::mem::size_of::<f64>(),
-        );
         r
     }
 }
@@ -355,32 +182,5 @@ mod tests {
             mae_adj <= mae_plain + 1e-9,
             "adjusted ({mae_adj}) must not be worse than plain ({mae_plain})"
         );
-    }
-
-    #[test]
-    fn shards_max_bounds_tracker_size() {
-        let trace = skewed_trace(300_000, 300_000, 4);
-        let mut sm = ShardsMax::new(2_000);
-        for &k in &trace {
-            sm.access_key(k);
-        }
-        let (tracked, rate) = sm.tracker_state();
-        assert!(tracked <= 2_000, "tracked {tracked}");
-        assert!(rate < 1.0, "threshold never adapted");
-    }
-
-    #[test]
-    fn shards_max_mrc_tracks_exact() {
-        let keys = 100_000u64;
-        let trace = skewed_trace(keys, 300_000, 5);
-        let mut sm = ShardsMax::new(8_192);
-        let mut o = OlkenLru::new();
-        for &k in &trace {
-            sm.access_key(k);
-            o.access_key(k);
-        }
-        let sizes = krr_core::even_sizes(keys as f64, 20);
-        let mae = sm.mrc().mae(&o.mrc(), &sizes);
-        assert!(mae < 0.05, "SHARDS_max MAE {mae}");
     }
 }

@@ -1,10 +1,10 @@
 //! End-to-end one-pass profiler throughput — KRR (±spatial) vs the
-//! exact-LRU baselines (Olken, SHARDS, AET) — the comparison behind
+//! exact-LRU baselines (Olken, SHARDS) — the comparison behind
 //! Table 5.4. Gated behind the `bench-ext` feature (long-running).
 //!
 //! Pass `--metrics` to also dump the KRR run's metrics snapshot.
 
-use krr_baselines::{Aet, OlkenLru, Shards};
+use krr_baselines::{OlkenLru, Shards};
 use krr_bench::microbench::Suite;
 use krr_core::metrics::MetricsRegistry;
 use krr_core::{KrrConfig, KrrModel};
@@ -53,13 +53,6 @@ fn main() {
             s.access_key(k);
         }
         s.counts().0
-    });
-    suite.bench("aet", || {
-        let mut a = Aet::with_bin_width(16);
-        for &k in &trace {
-            a.access_key(k);
-        }
-        a.distinct()
     });
     suite.finish();
     if let Some(reg) = &registry {

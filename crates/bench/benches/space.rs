@@ -6,7 +6,7 @@
 //! Writes `BENCH_space.json` at the repo root for CI perf tracking
 //! (`KRR_CI_BENCH=1` in scripts/ci.sh).
 
-use krr_baselines::{CounterStacks, OlkenLru, Shards, ShardsMax};
+use krr_baselines::{OlkenLru, Shards};
 use krr_core::expo::{http_get, ExpoServer, ExpoSources};
 use krr_core::footprint::Footprint;
 use krr_core::rng::Xoshiro256;
@@ -41,21 +41,15 @@ fn main() {
 
     let mut olken = OlkenLru::new();
     let mut shards = Shards::new(SAMPLING_RATE);
-    let mut shards_max = ShardsMax::new(8 << 10);
-    let mut cstacks = CounterStacks::new(50_000, 10, 0.02);
     for &k in &trace {
         olken.access_key(k);
         shards.access_key(k);
-        shards_max.access_key(k);
-        cstacks.access_key(k);
     }
 
     let krr_bytes = krr.deep_bytes();
     let krr_full_bytes = krr_full.deep_bytes();
     let olken_bytes = olken.deep_bytes();
     let shards_bytes = shards.deep_bytes();
-    let shards_max_bytes = shards_max.deep_bytes();
-    let cstacks_bytes = cstacks.deep_bytes();
 
     println!("\n== space (M = {M}, {REQUESTS} requests, Zipf 0.8) ==");
     let rows: &[(&str, usize)] = &[
@@ -63,8 +57,6 @@ fn main() {
         ("krr (unsampled, 4 shards)", krr_full_bytes),
         ("olken (unsampled)", olken_bytes),
         ("shards (R=0.01)", shards_bytes),
-        ("shards_max (s_max=8192)", shards_max_bytes),
-        ("counterstacks", cstacks_bytes),
     ];
     for (name, bytes) in rows {
         println!(
@@ -159,7 +151,6 @@ fn main() {
         "\"m\":{M},\"requests\":{REQUESTS},\"sampling_rate\":{SAMPLING_RATE},\
          \"krr_bytes\":{krr_bytes},\"krr_unsampled_bytes\":{krr_full_bytes},\
          \"olken_bytes\":{olken_bytes},\"shards_bytes\":{shards_bytes},\
-         \"shards_max_bytes\":{shards_max_bytes},\"counterstacks_bytes\":{cstacks_bytes},\
          \"scrape_off_ns\":{quiet:.1},\"scrape_on_ns\":{scraped:.1},\
          \"scrape_overhead_pct\":{overhead:.3},\"overhead_limit_pct\":{OVERHEAD_LIMIT_PCT}}}"
     );

@@ -288,7 +288,8 @@ pub fn diagnose(c: &DoctorCounters) -> DoctorReport {
         }
     }
 
-    // Accuracy watchdog fired: the model drifted from the Olken shadow.
+    // Drift counted in `watchdog.drift_events`. Nothing in this workspace
+    // increments it; the rule stays as long as the schema carries it.
     if c.drift_events > 0 {
         findings.push(Finding {
             id: "watchdog_drift",

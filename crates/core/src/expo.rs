@@ -3,8 +3,8 @@
 //!
 //! Everything the repo's observability layers produce — the
 //! `krr-metrics-v1` registry, the live MRC, the windowed stats timeline,
-//! the flight-recorder trace, the accuracy watchdog — was push/file-based
-//! until now. [`ExpoServer`] exposes the same data over plain HTTP with no
+//! the flight-recorder trace — was push/file-based until now.
+//! [`ExpoServer`] exposes the same data over plain HTTP with no
 //! dependencies: a blocking [`TcpListener`] in one background thread (the
 //! same style as the mini-Redis server), handling one request per
 //! connection.
@@ -26,10 +26,11 @@
 //! | `/exemplars`      | tail-request exemplar ring as `krr-exemplars-v1` JSON  |
 //! | `/profile`        | self-profiler totals as collapsed-stack folded text    |
 //! |                   | (pipe into `flamegraph.pl` / speedscope)               |
-//! | `/healthz`        | JSON health detail: watchdog drift, pipeline stalls,   |
+//! | `/healthz`        | JSON health detail: drift counters, pipeline stalls,   |
 //! |                   | exemplar/profiler ring losses, per-tenant drift count, |
 //! |                   | requests cut off at the deadline                       |
-//! |                   | (200, or 503 on any drift)                             |
+//! |                   | (200, or 503 on any drift; nothing in this workspace   |
+//! |                   | increments a drift counter)                            |
 //!
 //! Endpoints whose source was not wired into [`ExpoSources`] answer 404;
 //! `/mrc` answers 503 until the first MRC is published (and

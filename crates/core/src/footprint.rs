@@ -109,16 +109,6 @@ pub fn map_bytes(capacity: usize, entry_bytes: usize) -> usize {
     capacity * (entry_bytes + 1) * 8 / 7
 }
 
-/// Estimated heap bytes of a `BTreeMap` with `len` entries of
-/// `entry_bytes`: B-tree nodes hold up to 11 entries and run ~70% full, so
-/// per-entry cost is modeled as the entry plus ~16 bytes of node overhead
-/// at 10/7 slack. Coarse by design — `BTreeMap` appears only in the
-/// SHARDS_max baseline's eviction index.
-#[must_use]
-pub fn btree_bytes(len: usize, entry_bytes: usize) -> usize {
-    len * (entry_bytes + 16) * 10 / 7
-}
-
 /// Heap bytes of a `Vec`'s backing buffer at its current capacity.
 #[must_use]
 pub fn vec_bytes<T>(v: &Vec<T>) -> usize {

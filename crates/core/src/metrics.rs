@@ -90,8 +90,7 @@ impl Counter {
 }
 
 /// A last-value-wins gauge (`Relaxed` store/load). Unlike a [`Counter`] it
-/// can move both ways — used for live readings such as the accuracy
-/// watchdog's current MAE.
+/// can move both ways — used for live readings such as footprint bytes.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -1117,10 +1116,10 @@ impl MetricsRegistry {
     /// (`stack_entries`/`stack_index`/`stack_scratch` → stack,
     /// `histogram` → hist, `size_array` → sizes, `shadow_*` → shadow); a
     /// gauge is only overwritten when its labels appear in the report, so
-    /// independent publishers (the profiler, the watchdog's shadow) don't
-    /// stomp each other. The total gauge is recomputed as the sum of the
-    /// five component gauges after the update, and the heap gauges are
-    /// refreshed from [`crate::heap`] on every publish.
+    /// independent publishers don't stomp each other. The total gauge is
+    /// recomputed as the sum of the five component gauges after the
+    /// update, and the heap gauges are refreshed from [`crate::heap`] on
+    /// every publish.
     pub fn publish_footprint(&self, report: &crate::footprint::FootprintReport) {
         let has = |label: &str| report.parts().iter().any(|&(l, _)| l == label);
         if has("stack_entries") || has("stack_index") || has("stack_scratch") {

@@ -63,7 +63,7 @@ pub enum ProfPhase {
     RingWait = 3,
     /// Mini-Redis command handling on a connection thread.
     Serve = 4,
-    /// Everything else (stats ticks, watchdog checks, CSV input).
+    /// Everything else (stats ticks, CSV input).
     Other = 5,
 }
 

@@ -241,6 +241,19 @@ fn build_workload(
     let (kind, arg) = spec
         .split_once(':')
         .ok_or_else(|| format!("bad workload spec {spec:?}"))?;
+    if !scale.is_finite() || scale <= 0.0 {
+        return Err(format!("--scale must be a finite number > 0, got {scale}"));
+    }
+    // A Zipf exponent: finite and >= 0.
+    let alpha = |a: &str| match a.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(format!("--workload {spec}: bad alpha {a:?}")),
+    };
+    // A key count or loop length: at least 1.
+    let count = |c: &str| match c.parse::<u64>() {
+        Ok(v) if v >= 1 => Ok(v),
+        _ => Err(format!("--workload {spec}: {c:?} must be a count >= 1")),
+    };
     match kind {
         "msr" => {
             let t = msr::MsrTrace::ALL
@@ -255,12 +268,12 @@ fn build_workload(
             })
         }
         "ycsb-c" => {
-            let alpha: f64 = arg.parse().map_err(|_| format!("bad alpha {arg:?}"))?;
+            let alpha = alpha(arg)?;
             let records = ((1_000_000.0 * scale) as u64).max(1_000);
             Ok(ycsb::WorkloadC::new(records, alpha).generate(n, seed))
         }
         "ycsb-e" => {
-            let alpha: f64 = arg.parse().map_err(|_| format!("bad alpha {arg:?}"))?;
+            let alpha = alpha(arg)?;
             let records = ((100_000.0 * scale) as u64).max(500);
             let mut t = ycsb::WorkloadE::new(records, alpha).generate(n, seed);
             t.truncate(n);
@@ -274,21 +287,12 @@ fn build_workload(
             Ok(twitter::profile(*c).generate(n, seed, scale, var_size))
         }
         "zipf" => {
-            let (alpha, keys) = arg
+            let (a, keys) = arg
                 .split_once(':')
                 .ok_or_else(|| "zipf spec is zipf:<alpha>:<keys>".to_string())?;
-            let alpha: f64 = alpha.parse().map_err(|_| format!("bad alpha {alpha:?}"))?;
-            let keys: u64 = keys
-                .parse()
-                .map_err(|_| format!("bad key count {keys:?}"))?;
-            Ok(ycsb::WorkloadC::new(keys, alpha).generate(n, seed))
+            Ok(ycsb::WorkloadC::new(count(keys)?, alpha(a)?).generate(n, seed))
         }
-        "loop" => {
-            let len: u64 = arg
-                .parse()
-                .map_err(|_| format!("bad loop length {arg:?}"))?;
-            Ok(patterns::loop_trace(len, n))
-        }
+        "loop" => Ok(patterns::loop_trace(count(arg)?, n)),
         other => Err(format!("unknown workload kind {other:?}")),
     }
 }
@@ -399,7 +403,13 @@ fn cmd_model(args: &[String]) -> Result<(), String> {
         ));
     }
     let k: f64 = f.num("k", 5.0)?;
+    if k.is_nan() || k < 1.0 {
+        return Err(format!("--k must be >= 1, got {k}"));
+    }
     let rate: f64 = f.num("rate", 1.0)?;
+    if rate.is_nan() || rate <= 0.0 || rate > 1.0 {
+        return Err(format!("--rate must be in (0, 1], got {rate}"));
+    }
     let updater = match f.get("updater").unwrap_or("backward") {
         "backward" => UpdaterKind::Backward,
         "topdown" | "top-down" => UpdaterKind::TopDown,
@@ -815,33 +825,58 @@ impl Iterator for Refs {
     }
 }
 
+/// `trace`, unless it has no requests: a simulated MRC needs at least
+/// one object to size its caches against.
+fn nonempty(trace: Trace) -> Result<Trace, String> {
+    if trace.is_empty() {
+        return Err("the trace has no requests".into());
+    }
+    Ok(trace)
+}
+
+/// A `krr simulate --policy` spec.
+enum SimPolicy {
+    /// `lru` or `klru:K`, swept by [`simulate_mrc`].
+    Stack(Policy),
+    /// `klfu:K`, which has no [`Policy`] variant: one cache per size.
+    KLfu(u32),
+}
+
+impl SimPolicy {
+    fn parse(spec: &str) -> Result<Self, String> {
+        if spec == "lru" {
+            return Ok(SimPolicy::Stack(Policy::ExactLru));
+        }
+        let (kind, k) = match spec.split_once(':') {
+            Some((kind @ ("klru" | "klfu"), k)) => (kind, k),
+            _ => return Err(format!("unknown policy {spec:?}")),
+        };
+        match k.parse::<u32>() {
+            Ok(0) => Err(format!("--policy {spec}: K must be >= 1")),
+            Ok(k) if kind == "klru" => Ok(SimPolicy::Stack(Policy::klru(k))),
+            Ok(k) => Ok(SimPolicy::KLfu(k)),
+            Err(_) => Err(format!("bad policy {spec:?}")),
+        }
+    }
+}
+
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let switches = "var-size bytes";
     let f = Flags::parse("simulate", args, &[TRACE_OPTS, "policy sizes"], switches)?;
-    let trace = load_trace(&f)?;
-    let n_sizes: usize = f.num("sizes", 25)?;
+    let n_sizes = f.count("sizes")?.unwrap_or(25) as usize;
+    let policy = SimPolicy::parse(f.get("policy").unwrap_or("klru:5"))?;
+    let trace = nonempty(load_trace(&f)?)?;
     let bytes = f.flag("bytes");
     let (objects, ws_bytes) = krr::sim::working_set(&trace);
     let max = if bytes { ws_bytes } else { objects };
     let caps = even_capacities(max, n_sizes);
     let unit = if bytes { Unit::Bytes } else { Unit::Objects };
-    let policy_spec = f.get("policy").unwrap_or("klru:5");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mrc = match policy_spec {
-        "lru" => simulate_mrc(&trace, Policy::ExactLru, unit, &caps, 1, threads),
-        spec if spec.starts_with("klru:") => {
-            let k: u32 = spec[5..]
-                .parse()
-                .map_err(|_| format!("bad policy {spec:?}"))?;
-            simulate_mrc(&trace, Policy::klru(k), unit, &caps, 1, threads)
-        }
-        spec if spec.starts_with("klfu:") => {
-            let k: u32 = spec[5..]
-                .parse()
-                .map_err(|_| format!("bad policy {spec:?}"))?;
-            // No Policy variant for LFU: run each size directly.
+    let mrc = match policy {
+        SimPolicy::Stack(p) => simulate_mrc(&trace, p, unit, &caps, 1, threads),
+        SimPolicy::KLfu(k) => {
             let mut points = vec![(0.0, 1.0)];
             for &c in &caps {
                 let cap = if bytes {
@@ -857,7 +892,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
             }
             Mrc::from_points(points)
         }
-        other => return Err(format!("unknown policy {other:?}")),
     };
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     let _ = writeln!(out, "cache_size,miss_ratio");
@@ -871,9 +905,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let f = Flags::parse("compare", args, &[TRACE_OPTS, "k sizes"], "var-size")?;
-    let trace = load_trace(&f)?;
-    let k: u32 = f.num("k", 5)?;
-    let n_sizes: usize = f.num("sizes", 25)?;
+    let k = u32::try_from(f.count("k")?.unwrap_or(5)).map_err(|_| "--k is too large")?;
+    let n_sizes = f.count("sizes")?.unwrap_or(25) as usize;
+    let trace = nonempty(load_trace(&f)?)?;
     let (objects, _) = krr::sim::working_set(&trace);
     let caps = even_capacities(objects, n_sizes);
     let threads = std::thread::available_parallelism()
@@ -931,6 +965,8 @@ fn cmd_plot(args: &[String]) -> Result<(), String> {
     if f.positional.is_empty() {
         return Err("plot needs one or more cache_size,miss_ratio CSV files".into());
     }
+    let width = f.count("width")?.unwrap_or(64) as usize;
+    let height = f.count("height")?.unwrap_or(16) as usize;
     let mut curves = Vec::new();
     for path in &f.positional {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -938,8 +974,6 @@ fn cmd_plot(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
         curves.push((path.clone(), mrc));
     }
-    let width: usize = f.num("width", 64)?;
-    let height: usize = f.num("height", 16)?;
     print!("{}", render_ascii_mrc(&curves, width, height));
     Ok(())
 }

@@ -13,7 +13,7 @@
 //! * [`redis`] — a mini-Redis with the real eviction machinery.
 //! * [`load`] — an open-loop RESP load harness with seeded arrival
 //!   schedules and tail-latency reports.
-//! * [`baselines`] — Olken, SHARDS and AET LRU baselines.
+//! * [`baselines`] — the Olken and SHARDS exact-LRU baselines.
 //!
 //! ## Example: model a Redis cache (maxmemory-samples = 5)
 //!
@@ -46,12 +46,12 @@ pub use krr_core::{
 
 /// Common imports for applications.
 pub mod prelude {
-    pub use krr_baselines::{Aet, CounterStacks, HyperLogLog, OlkenLru, Shards, ShardsMax};
+    pub use krr_baselines::{OlkenLru, Shards};
     pub use krr_core::{even_sizes, KrrConfig, KrrModel, Mrc, ShardedKrr, SizeMode, UpdaterKind};
     pub use krr_redis::{MiniRedis, SamplingMode};
     pub use krr_sim::{
-        even_capacities, simulate_mrc, Cache, Capacity, ExactLru, KLfuCache, KLruCache, MiniSim,
-        Policy, Unit,
+        even_capacities, simulate_mrc, Cache, Capacity, ExactLru, KLfuCache, KLruCache, Policy,
+        Unit,
     };
     pub use krr_trace::{Op, Request, Trace};
 }

@@ -8,8 +8,8 @@
 //! and decayed by one per `decay_period` accesses of idle time, so the
 //! counter tracks *recent* popularity.
 //!
-//! Sampled LFU is not a stack policy (its MRCs are built with
-//! [`crate::minisim::MiniSim`], as §6.2 prescribes for non-stack policies).
+//! Sampled LFU is not a stack policy, so no one-pass model builds its MRC:
+//! `krr simulate --policy klfu:K` runs one cache per size instead.
 
 use crate::{Cache, CacheStats, Capacity};
 use krr_core::hashing::KeyMap;

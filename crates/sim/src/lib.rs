@@ -3,10 +3,9 @@
 //! Ground-truth cache simulators for the KRR reproduction: exact LRU, the
 //! random sampling-based K-LRU policy the paper models, and a parallel
 //! multi-size simulation harness that produces "actual" MRCs by
-//! interpolation (§5.1). Around them: sampled LFU ([`klfu`]), the DLRU
-//! adaptive cache the paper motivates ([`dlru`], §1), miniature
-//! simulation for policies with no stack model ([`minisim`], §6.2), and
-//! Belady's OPT as a reference bound ([`opt`]).
+//! interpolation (§5.1). Around them: sampled LFU ([`klfu`], which
+//! `krr simulate --policy klfu:K` runs) and Belady's OPT as a reference
+//! bound ([`opt`]).
 //!
 //! ```
 //! use krr_sim::{Cache, Capacity, KLruCache};
@@ -20,19 +19,15 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod dlru;
 pub mod klfu;
 pub mod klru;
 pub mod lru;
-pub mod minisim;
 pub mod mrc_sim;
 pub mod opt;
 
-pub use dlru::DLruCache;
 pub use klfu::KLfuCache;
 pub use klru::KLruCache;
 pub use lru::ExactLru;
-pub use minisim::MiniSim;
 pub use mrc_sim::{even_capacities, miss_ratio, simulate_mrc, working_set, Policy, Unit};
 
 use krr_core::hashing::KeyMap;

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p krr --example live_scrape`
 
-use krr::baselines::{CounterStacks, OlkenLru, Shards, ShardsMax};
+use krr::baselines::{OlkenLru, Shards};
 use krr::core::expo::{http_get, ExpoServer, ExpoSources, MrcCell};
 use krr::core::rng::Xoshiro256;
 use krr::core::sharded::ShardedKrr;
@@ -85,13 +85,9 @@ fn main() {
     // §5.7 space comparison: reference profilers over the same trace.
     let mut olken = OlkenLru::new();
     let mut shards = Shards::new(0.01);
-    let mut shards_max = ShardsMax::new(8 << 10);
-    let mut cstacks = CounterStacks::new(10_000, 10, 0.02);
     for &k in &trace {
         olken.access_key(k);
         shards.access_key(k);
-        shards_max.access_key(k);
-        cstacks.access_key(k);
     }
 
     println!(
@@ -102,8 +98,6 @@ fn main() {
         ("krr (4 shards, K'=K^1.4)", bank.deep_bytes()),
         ("olken (unsampled)", olken.deep_bytes()),
         ("shards (rate 0.01)", shards.deep_bytes()),
-        ("shards_max (s_max 8192)", shards_max.deep_bytes()),
-        ("counterstacks", cstacks.deep_bytes()),
     ];
     for (name, bytes) in rows {
         println!("  {name:<26} {bytes:>12}");

@@ -56,13 +56,6 @@ cargo run --release --offline -q -p krr --example live_scrape > /tmp/krr_live_sc
 grep -q "krr / olken space ratio" /tmp/krr_live_scrape.out
 grep -q "serving live metrics on http://" /tmp/krr_live_scrape.out
 
-# Accuracy-watchdog smoke: no server or CLI path reaches
-# `AccuracyWatchdog`, so this example is its end-to-end run. It feeds a
-# shadow Olken beside a model over a drifting Zipf stream and asserts
-# inside that its drift count matches the registry's.
-cargo run --release --offline -q -p krr --example online_profiler > /tmp/krr_online_profiler.out
-grep -q "watchdog checks over" /tmp/krr_online_profiler.out
-
 # Loopback load smoke: the flash-crowd example replays a burst schedule
 # over real RESP connections against a profiled mini-Redis while scraping
 # /metrics, and asserts inside (zero errors, complete histograms, the
@@ -116,6 +109,11 @@ krr simulate --policy lru "$smoke/trace.csv" > "$smoke/simulate-lru.out"
 grep -q "^cache_size,miss_ratio$" "$smoke/simulate-lru.out"
 krr simulate --policy klru:5 --bytes "$smoke/trace.csv" > "$smoke/simulate-bytes.out"
 grep -q "^cache_size,miss_ratio$" "$smoke/simulate-bytes.out"
+# Sampled LFU is reached only through this CLI path; K = 0 must fail.
+krr simulate --policy klfu:5 "$smoke/trace.csv" > "$smoke/simulate-klfu.out"
+grep -q "^cache_size,miss_ratio$" "$smoke/simulate-klfu.out"
+krr simulate --policy klfu:0 "$smoke/trace.csv" > /dev/null 2>&1 &&
+    { echo "ci: krr simulate accepted --policy klfu:0" >&2; exit 1; }
 krr compare "$smoke/trace.csv" > "$smoke/compare.out"
 grep -q "^cache_size,simulated,krr,abs_err$" "$smoke/compare.out"
 krr analyze "$smoke/trace.csv" > "$smoke/analyze.out"
@@ -140,7 +138,7 @@ rm -rf "$smoke"
 # exits nonzero if any worker count falls below 0.8x the sequential
 # loop), BENCH_obs.json
 # (flight-recorder off vs on; exits nonzero if tracing costs more than its
-# 5% budget), and BENCH_space.json (KRR vs Olken/SHARDS/CounterStacks deep
+# 5% budget), and BENCH_space.json (KRR vs Olken/SHARDS deep
 # footprint at M=1e6 — exits nonzero unless KRR < Olken — plus the
 # /metrics scrape-overhead gate, also 5%) and BENCH_load.json (open-loop
 # RESP load A/B: five off/on passes alternating which side runs first;

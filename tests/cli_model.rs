@@ -3,7 +3,9 @@
 //! was written from must print byte-identical MRCs. Fleet mode
 //! (`--tenants`) shares the loop, and every flag a run cannot honour, or
 //! a subcommand does not read, fails the run with a message naming it,
-//! as does a positional argument the subcommand does not read, or a zero count.
+//! as does a positional argument the subcommand does not read, a zero
+//! count, an out-of-range sampling size or rate, or (for the simulators)
+//! an empty trace.
 
 use std::process::Command;
 
@@ -48,8 +50,9 @@ fn krr_fails(args: &[&str]) -> String {
         .args(args)
         .output()
         .expect("failed to run the krr binary");
-    assert!(!out.status.success(), "krr {args:?} exited 0");
-    String::from_utf8_lossy(&out.stderr).into_owned()
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "krr {args:?}: stderr {err:?}");
+    err
 }
 
 /// A scratch directory holding a small generated trace, removed on drop.
@@ -142,6 +145,45 @@ fn unread_arguments_and_zero_counts_are_errors() {
     for flag in ["--connections", "--pipeline"] {
         let err = krr_fails(&["load", flag, "0", &trace]);
         assert!(err.contains(flag), "{flag}: stderr {err:?}");
+    }
+    // Out-of-range model and simulator parameters fail before any work,
+    // naming the flag, instead of panicking or running unsampled.
+    for (cmd, flag, value) in [
+        ("model", "--k", "0"),
+        ("model", "--k", "0.5"),
+        ("model", "--rate", "0"),
+        ("model", "--rate", "1.5"),
+        ("model", "--rate", "nan"),
+        ("compare", "--k", "0"),
+        ("compare", "--sizes", "0"),
+        ("simulate", "--sizes", "0"),
+        ("simulate", "--policy", "klru:0"),
+        ("simulate", "--policy", "klfu:0"),
+        ("plot", "--width", "0"),
+        ("plot", "--height", "0"),
+    ] {
+        let err = krr_fails(&[cmd, flag, value, &trace]);
+        assert!(
+            err.contains(flag),
+            "krr {cmd} {flag} {value}: stderr {err:?}"
+        );
+    }
+    for (flag, workload, scale) in [
+        ("--workload", "zipf:0.9:0", "1"),
+        ("--workload", "zipf:nan:100", "1"),
+        ("--workload", "loop:0", "1"),
+        ("--scale", "msr:web", "0"),
+        ("--scale", "twitter:26.0", "-1"),
+    ] {
+        let args = ["--workload", workload, "--requests", "10", "--scale", scale];
+        let err = krr_fails(&[&["generate"], &args[..]].concat());
+        assert!(err.contains(flag), "krr generate {args:?}: stderr {err:?}");
+    }
+    let empty = dir.path("empty.csv");
+    std::fs::write(&empty, "").unwrap();
+    for cmd in ["simulate", "compare"] {
+        let err = krr_fails(&[cmd, &empty]);
+        assert!(err.contains("no requests"), "krr {cmd}: stderr {err:?}");
     }
 }
 

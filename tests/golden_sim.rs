@@ -1,8 +1,9 @@
 //! Exact-bits goldens for the ground-truth simulators: `simulate_mrc`
 //! point digests for K-LRU (K ∈ {1, 5, 16}, with and without replacement)
 //! and exact LRU, in objects and in bytes, at 1 and 4 threads; and the
-//! per-request hit/miss sequences of `KLruCache`, `ExactLru`, `DLruCache`
-//! and the miniature caches of `MiniSim` over the same trace.
+//! per-request hit/miss sequences of `KLruCache` and `ExactLru` over the
+//! same trace. Each test first checks that it computed as many digests as
+//! it pins, so a cache or policy dropped from the list fails too.
 //!
 //! The trace is variable-size: an object's size changes on re-reference,
 //! and every 500th request is larger than the smallest byte cache (and
@@ -18,8 +19,7 @@
 
 use krr::core::rng::Xoshiro256;
 use krr::sim::{
-    even_capacities, simulate_mrc, working_set, Cache, Capacity, DLruCache, ExactLru, KLruCache,
-    MiniSim, Policy, Unit,
+    even_capacities, simulate_mrc, working_set, Cache, Capacity, ExactLru, KLruCache, Policy, Unit,
 };
 use krr::trace::Request;
 
@@ -111,28 +111,13 @@ fn per_request() -> Vec<(u64, u64)> {
     let trace = trace();
     let (_, bytes) = working_set(&trace);
     let cap = Capacity::Bytes(bytes / 4);
-    let mut out = vec![
+    vec![
         run(&mut KLruCache::new(cap, 5, 3), &trace),
         run(&mut KLruCache::with_mode(cap, 5, false, 3), &trace),
         run(&mut KLruCache::new(Capacity::Objects(400), 16, 3), &trace),
         run(&mut ExactLru::new(cap), &trace),
         run(&mut ExactLru::new(Capacity::Objects(400)), &trace),
-        run(
-            &mut DLruCache::new(Capacity::Objects(400), &[4, 16, 1], 2_000, 1.0, 3),
-            &trace,
-        ),
-    ];
-    let caps = even_capacities(bytes, 6);
-    let mut ms = MiniSim::new(&caps, 0.5, |c| Box::new(KLruCache::new(c, 5, 9)), true);
-    for r in &trace {
-        ms.access(r);
-    }
-    let ratios = ms.miss_ratios();
-    out.push((
-        fnv(ratios.iter().map(|&(_, m)| m.to_bits())),
-        ratios.len() as u64,
-    ));
-    out
+    ]
 }
 
 /// `(objects, bytes)` MRC digests per policy, in the order of [`policies`]:
@@ -148,36 +133,38 @@ const SIM: [(u64, u64); 7] = [
 ];
 
 /// Per-request caches: K-LRU K=5 in bytes with and without replacement,
-/// K-LRU K=16 in objects, exact LRU in bytes and in objects, DLRU, and
-/// the miniature K-LRU caches of `MiniSim` (digest of their miss ratios,
-/// then how many there are).
-const PER_REQUEST: [(u64, u64); 7] = [
+/// K-LRU K=16 in objects, exact LRU in bytes and in objects.
+const PER_REQUEST: [(u64, u64); 5] = [
     (0xecaf_00ec_0005_e004, 13671),
     (0xabf8_84b5_d87d_5725, 13388),
     (0xe9d7_4314_ce3d_7504, 15413),
     (0x4bd9_3ee7_d675_d044, 13491),
     (0xcc21_50c6_e6e6_ad25, 15416),
-    (0x0f9b_fb3b_9732_9b25, 15488),
-    (0x503a_54c6_770a_08d1, 6),
 ];
+
+fn check_sim_digests(threads: usize) {
+    let (policies, digests) = (policies(), sim_digests(threads));
+    assert_eq!(digests.len(), SIM.len(), "computed vs pinned SIM digests");
+    for ((name, _), (got, want)) in policies.iter().zip(digests.iter().zip(&SIM)) {
+        assert_eq!(got, want, "{name}: (objects, bytes) digests");
+    }
+}
 
 #[test]
 fn simulated_mrcs_match_exact_bits_at_one_thread() {
-    for ((name, _), (got, want)) in policies().iter().zip(sim_digests(1).iter().zip(&SIM)) {
-        assert_eq!(got, want, "{name}: (objects, bytes) digests");
-    }
+    check_sim_digests(1);
 }
 
 #[test]
 fn simulated_mrcs_match_exact_bits_at_four_threads() {
-    for ((name, _), (got, want)) in policies().iter().zip(sim_digests(4).iter().zip(&SIM)) {
-        assert_eq!(got, want, "{name}: (objects, bytes) digests");
-    }
+    check_sim_digests(4);
 }
 
 #[test]
 fn per_request_caches_match_exact_bits() {
-    for (i, (got, want)) in per_request().iter().zip(&PER_REQUEST).enumerate() {
+    let got = per_request();
+    assert_eq!(got.len(), PER_REQUEST.len(), "computed vs pinned caches");
+    for (i, (got, want)) in got.iter().zip(&PER_REQUEST).enumerate() {
         assert_eq!(got, want, "cache {i}: (hit digest, misses)");
     }
 }
@@ -191,7 +178,7 @@ fn print_goldens() {
         println!("    (0x{o:016x}, 0x{b:016x}),");
     }
     println!("];");
-    println!("const PER_REQUEST: [(u64, u64); 7] = [");
+    println!("const PER_REQUEST: [(u64, u64); 5] = [");
     for (d, m) in per_request() {
         println!("    (0x{d:016x}, {m}),");
     }

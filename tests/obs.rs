@@ -1,6 +1,6 @@
 //! Integration: the observability layer end-to-end — flight-recorder
 //! Chrome traces (via the library and the `krr` binary), the windowed
-//! stats timeline, and the accuracy watchdog. The load-bearing invariant
+//! stats timeline. The load-bearing invariant
 //! throughout: observability must never perturb the model, so MRCs are
 //! bit-identical with tracing on or off at every thread count.
 
@@ -163,35 +163,6 @@ fn stats_timeline_rows_are_windowed_and_parse() {
     }
     // Windows are deltas, so they partition the reference stream exactly.
     assert_eq!(total_delta_refs, 35_000.0);
-}
-
-#[test]
-fn watchdog_shadow_agrees_with_krr_on_stationary_workload() {
-    use krr::baselines::{AccuracyWatchdog, WatchdogConfig};
-    let reg = Arc::new(MetricsRegistry::new());
-    let mut model = KrrModel::new(KrrConfig::new(64.0).seed(5));
-    let mut dog = AccuracyWatchdog::new(WatchdogConfig {
-        rate: 0.5,
-        check_every: 10_000,
-        mae_threshold: 0.08,
-        eval_points: 32,
-    });
-    dog.set_metrics(Arc::clone(&reg));
-    let trace = workload(60_000, 5);
-    let mut last = None;
-    for r in &trace {
-        model.access_key(r.key);
-        dog.observe(r.key);
-        if dog.check_due() {
-            last = Some(dog.check(&model.mrc()));
-        }
-    }
-    let report = last.expect("watchdog never fired");
-    assert!(!report.drifted, "stationary workload flagged: {report:?}");
-    assert!(report.mae < 0.08, "MAE {:.4} too high", report.mae);
-    let snap = reg.snapshot();
-    assert_eq!(snap.watchdog_checks, report.checks);
-    assert_eq!(snap.watchdog_mae_ppm, (report.mae * 1e6).round() as u64);
 }
 
 /// The acceptance-criteria test: `krr model --trace-out` must emit a
